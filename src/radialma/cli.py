@@ -31,7 +31,7 @@ from .convergence import (
     truncation_sequence,
     weak_convergence_test,
 )
-from .errors import RadialMAError
+from .errors import GridTooLarge, RadialMAError
 from .families import (
     PowerTail,
     default_battery,
@@ -697,12 +697,13 @@ def main(argv=None) -> int:
             if s is not None:
                 print(s.to_csv(), file=sys.stderr)
         return 2
+    except (UsageError, GridTooLarge) as e:
+        # an oracle grid too large to solve is a bad --h, not a failure
+        print(f"usage error: {e}", file=sys.stderr)
+        return 1
     except (RadialMAError, AssertionError) as e:
         print(f"FAIL {scenario}: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     meta_full = {
         "scenario": scenario,
         "config": {

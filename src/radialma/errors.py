@@ -49,6 +49,14 @@ class NotAdmissible(RadialMAError):
     """Profile violates a standing hypothesis (e.g. nonzero boundary limit)."""
 
 
+class MassOverflow(RadialMAError):
+    """A Monge-Ampere mass at dimension n does not fit in a float."""
+
+
+class GridTooLarge(RadialMAError):
+    """An oracle grid has more nodes than a solve is allowed to sweep."""
+
+
 class NotConverged(RadialMAError):
     """Relaxation sweep budget exhausted before reaching the fixed point."""
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonStabilized, OutOfDomain
+from .errors import MassOverflow, NonStabilized, OutOfDomain
 from .profiles import ConvexProfile, MinusInfinity, RadialCompact, NEG_INF
 
 TWO_PI = 2.0 * math.pi
@@ -101,6 +101,39 @@ class RadialMeasure:
         return cls.from_json_dict(json.loads(text))
 
 
+def _mass(n: int, s_after: float, s_before: float = 0.0) -> float:
+    """(2*pi)^n * (s_after^n - s_before^n); MassOverflow unless finite."""
+    try:
+        mass = TWO_PI**n * (s_after**n - s_before**n)
+    except OverflowError:
+        mass = math.inf
+    if not math.isfinite(mass):
+        raise MassOverflow(
+            f"mass of the slope jump {s_before} -> {s_after} overflows at n={n}"
+        )
+    return mass
+
+
+def _knot_atoms(
+    profile: ConvexProfile, n: int
+) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
+    """Positions and (t, mass) atoms of the formula's slope jumps.
+
+    Built once per formula and n and shared by every clamped copy, since
+    a clamp never changes the jump at a knot it does not cover.
+    """
+    tables = profile._knot_atom_tables
+    table = tables.get(n)
+    if table is None:
+        atoms = []
+        for t, s_before, s_after in profile.knot_slopes:
+            jump = _mass(n, s_after, s_before)
+            if jump != 0.0:
+                atoms.append((t, jump))
+        table = tables.setdefault(n, (tuple(t for t, _ in atoms), tuple(atoms)))
+    return table
+
+
 def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     """Monge-Ampere measure (dd^c u)^n of u = chi(log ||z||) on the ball.
 
@@ -109,32 +142,23 @@ def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     flat part contributes nothing; the clamp release point carries the
     atom (2*pi*sigma)^n with sigma the formula slope there, and every
     knot right of it keeps the float-identical mass it has without the
-    clamp.
+    clamp.  Raises MassOverflow when (2*pi)^n or a mass is not a finite
+    float.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
-    scale = TWO_PI**n
+    positions, atoms = _knot_atoms(profile, n)
     if profile.floor == NEG_INF:
-        origin = scale * profile.left_slope**n
-        atoms = []
-        for t, s_before, s_after in profile.knot_slopes:
-            jump = scale * (s_after**n - s_before**n)
-            if jump != 0.0:
-                atoms.append((t, jump))
-        return RadialMeasure(n, origin, tuple(atoms))
+        return RadialMeasure(n, _mass(n, profile.left_slope), atoms)
     edge = profile._floor_edge
     if edge >= profile.log_R:
         return RadialMeasure(n, 0.0, ())  # constant profile, no mass
     sigma = profile._formula_right_slope(edge)
     assert sigma > 0.0, "clamp release point must have rising formula"
-    atoms = [(edge, scale * sigma**n)]
-    for t, s_before, s_after in profile.knot_slopes:
-        if t <= edge:
-            continue
-        jump = scale * (s_after**n - s_before**n)
-        if jump != 0.0:
-            atoms.append((t, jump))
-    return RadialMeasure(n, 0.0, tuple(atoms))
+    release = (edge, _mass(n, sigma))
+    return RadialMeasure(
+        n, 0.0, (release,) + atoms[bisect_right(positions, edge) :]
+    )
 
 
 def nonpolar_part(

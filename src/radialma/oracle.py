@@ -18,11 +18,16 @@ import numpy as np
 from .errors import (
     CompactTouchesBoundary,
     EmptyCompact,
+    GridTooLarge,
     NegativeSecondDifference,
     NotConverged,
 )
 from .measures import RadialMeasure, TWO_PI
 from .profiles import ConvexProfile, FiniteValue, RadialCompact, NEG_INF
+
+# PSOR needs O(nodes^2) work; the largest grid the acceptance suite and
+# the default CLI scenarios build has 6,652 nodes
+MAX_GRID_NODES = 20_000
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,14 @@ def _psor_solve(
     max_sweeps: int | None,
     omega: float | None,
 ) -> np.ndarray:
-    """Discrete obstacle solution at the grid nodes (shared solver)."""
+    """Discrete obstacle solution at the grid nodes (shared solver).
+
+    Grids above MAX_GRID_NODES raise GridTooLarge before any sweep.
+    """
+    if grid.count + 1 > MAX_GRID_NODES:
+        raise GridTooLarge(
+            f"grid has {grid.count + 1} nodes, more than {MAX_GRID_NODES}"
+        )
     if K.is_empty:
         raise EmptyCompact("relaxation needs a nonempty compact")
     if K.sup >= log_R:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +31,24 @@ from .errors import (
 )
 
 NEG_INF = float("-inf")
+
+# formula-level state that a clamped copy shares with its parent
+_FORMULA_STATE = (
+    "breakpoints",
+    "tail",
+    "final_slope",
+    "log_R",
+    "_slopes",
+    "_ts",
+    "_vs",
+    "knot_slopes",
+    "_knot_atom_tables",
+)
+
+
+def _check_floor(floor: float) -> None:
+    if math.isnan(floor) or floor == math.inf:
+        raise ValueError("floor must be a float or -inf")
 
 
 @dataclass(frozen=True)
@@ -162,7 +180,9 @@ class ConvexProfile:
     slope going to -inf); right of the last knot it is linear with slope
     ``final_slope``.  The profile itself is max(formula, floor); a floor
     of -inf means no clamp is active.  Instances are immutable and safe
-    to share across threads.
+    to share across threads: their lazily filled caches depend only on
+    the formula, and clamped copies share them with the profile they
+    were clamped from.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -185,7 +205,7 @@ class ConvexProfile:
                 raise UnorderedBreakpoints(
                     f"t[{i - 1}]={bps[i - 1][0]} !< t[{i}]={bps[i][0]}"
                 )
-        slopes = self._slope_run()
+        slopes = self._slopes
         for i, s in enumerate(slopes):
             if s < 0.0:
                 raise MonotonicityViolation(f"segment {i} has slope {s} < 0")
@@ -212,15 +232,15 @@ class ConvexProfile:
                 )
         else:
             raise TypeError(f"unknown left end {le!r}")
-        if math.isnan(self.floor) or self.floor == math.inf:
-            raise ValueError("floor must be a float or -inf")
+        _check_floor(self.floor)
         # canonical form: drop a clamp that never bites
         if self.floor != NEG_INF and self.floor <= self._formula_left_value():
             object.__setattr__(self, "floor", NEG_INF)
 
     # -- formula-level helpers (clamp ignored) --------------------------
 
-    def _slope_run(self) -> list[float]:
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
         """Formula slopes in order: tail, each chord, final."""
         bps = self.breakpoints
         left = self.tail.slope if isinstance(self.tail, MinusInfinity) else 0.0
@@ -229,7 +249,7 @@ class ConvexProfile:
             (t0, v0), (t1, v1) = bps[i - 1], bps[i]
             run.append((v1 - v0) / (t1 - t0))
         run.append(self.final_slope)
-        return run
+        return tuple(run)
 
     @cached_property
     def _ts(self) -> tuple[float, ...]:
@@ -272,10 +292,8 @@ class ConvexProfile:
             return self._tail_slope
         if t >= ts[-1]:
             return self.final_slope
-        run = self._slope_run()
-        # run[i + 1] is the chord slope on [ts[i], ts[i + 1])
-        i = bisect_right(ts, t) - 1
-        return run[i + 1]
+        # _slopes[i + 1] is the chord slope on [ts[i], ts[i + 1])
+        return self._slopes[bisect_right(ts, t)]
 
     def _formula_sublevel_edge(self, s: float) -> float | None:
         """sup{t : formula(t) <= s}, None when empty, log_R when total.
@@ -312,10 +330,19 @@ class ConvexProfile:
     @cached_property
     def knot_slopes(self) -> tuple[tuple[float, float, float], ...]:
         """Per-knot (t, slope_before, slope_after) triples of the formula."""
-        run = self._slope_run()
+        run = self._slopes
         return tuple(
             (t, run[i], run[i + 1]) for i, (t, _) in enumerate(self.breakpoints)
         )
+
+    @cached_property
+    def _knot_atom_tables(self) -> dict:
+        """Per-n knot-atom tables of the formula, filled by ``ma_measure``.
+
+        An entry depends only on the formula and n, so it is the same
+        whichever clamped copy fills it first.
+        """
+        return {}
 
     # -- profile-level interface (clamp applied) ------------------------
 
@@ -345,16 +372,24 @@ class ConvexProfile:
         """lim chi(t) as t -> log_R from the left."""
         return max(self._formula_boundary_limit(), self.floor)
 
+    def _out_of_domain(self, t: float) -> OutOfDomain:
+        if math.isnan(t):
+            return OutOfDomain("t is NaN")
+        return OutOfDomain(f"t={t} >= log_R={self.log_R}")
+
     def value(self, t: float) -> float:
-        """Evaluate chi(t).  Accepts t = -inf; raises OutOfDomain at log_R."""
-        if t >= self.log_R:
-            raise OutOfDomain(f"t={t} >= log_R={self.log_R}")
+        """Evaluate chi(t).  Accepts t = -inf; raises OutOfDomain at log_R
+        and for NaN."""
+        if not t < self.log_R:
+            raise self._out_of_domain(t)
         return max(self._formula_value(t), self.floor)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of finite t < log_R."""
+        """Vectorized evaluation on an array of t < log_R; NaN is rejected."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size and float(ts.max()) >= self.log_R:
+        if ts.size and not float(ts.max()) < self.log_R:
+            if np.isnan(ts).any():
+                raise OutOfDomain("grid contains NaN")
             raise OutOfDomain("grid reaches log_R")
         xp = np.array(self._ts)
         fp = np.array(self._vs)
@@ -374,8 +409,8 @@ class ConvexProfile:
 
     def right_slope(self, t: float) -> float:
         """One-sided derivative chi'(t+).  At -inf returns the tail slope."""
-        if t >= self.log_R:
-            raise OutOfDomain(f"t={t} >= log_R={self.log_R}")
+        if not t < self.log_R:
+            raise self._out_of_domain(t)
         if self.floor != NEG_INF and t < self._floor_edge:
             return 0.0
         if t == NEG_INF:
@@ -438,17 +473,32 @@ class ConvexProfile:
         return RadialCompact(((lo, hi),))
 
     def _max_with_constant(self, c: float) -> "ConvexProfile":
-        """max(chi, c): only the clamp moves, knots stay verbatim."""
+        """max(chi, c): only the clamp moves, knots stay verbatim.
+
+        The copy is not revalidated: it shares this profile's validated
+        formula and its formula-level caches, and keeps only its own
+        clamp release point.  A clamp at or below the current infimum
+        leaves the profile as it is, the canonical form the constructor
+        also enforces.
+        """
+        _check_floor(c)
         if c <= self.left_value:
             return self
-        return replace(self, floor=c)
+        clamped = object.__new__(type(self))
+        state = vars(clamped)
+        for name in _FORMULA_STATE:
+            state[name] = getattr(self, name)
+        state["floor"] = c
+        return clamped
 
     def truncate(self, j: float) -> "ConvexProfile":
         """max(chi, -j) for j > 0: the profile of max(u, -j).
 
         Truncation only raises the clamp, so truncate(truncate(chi, j), k)
         == truncate(chi, k) bitwise whenever j >= k, and the measures of
-        shared knots are float-identical across truncation levels.
+        shared knots are float-identical across truncation levels.  The
+        result shares this profile's validated formula, so it costs one
+        bisection (on first use of its release point), not a rebuild.
         """
         if not j > 0.0:
             raise ValueError(f"truncation level j must be positive, got {j}")
@@ -504,7 +554,7 @@ class ConvexProfile:
 
         # formula - line is convex piecewise linear; the line can win on
         # at most one interval (lo, hi).  The clamp is reapplied at the end.
-        run = self._slope_run()
+        run = self._slopes
         ts, vs = self._ts, self._vs
         d_at = [vs[i] - line(ts[i]) for i in range(len(ts))]
         d_bnd = self._formula_boundary_limit() - line(self.log_R)

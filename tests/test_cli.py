@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,3 +160,22 @@ def test_oracle_check_smoke(tmp_path):
     assert r.returncode == 0, r.stdout + r.stderr
     rows = read_rows(tmp_path / "oracle-check.csv")
     assert rows, "oracle-check wrote no rows"
+
+
+def test_mass_overflow_exits_2_on_one_line(tmp_path):
+    r = run_cli(["capacity-table", "--n", "400"], tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "MassOverflow" in lines[0]
+
+
+def test_oversized_oracle_grid_is_a_quick_usage_error(tmp_path):
+    # h=1e-6 asks for a grid of about 1.1M nodes
+    start = time.perf_counter()
+    r = run_cli(["capacity-table", "--with-oracle", "--h", "1e-6"], tmp_path)
+    assert time.perf_counter() - start < 20.0
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert "usage error" in r.stderr and "nodes" in r.stderr
+    assert not (tmp_path / "capacity-table.csv").exists()

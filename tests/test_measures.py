@@ -21,7 +21,9 @@ from radialma import (
     make_compact,
     make_profile,
     max_const_profile,
+    MassOverflow,
     MinusInfinity,
+    capacity,
     nonpolar_part,
     plateau,
     power_tail_profile,
@@ -231,6 +233,23 @@ def test_annular_plateau_shape():
 def test_dimension_must_be_positive():
     with pytest.raises(ValueError):
         ma_measure(log_profile(), 0)
+
+
+def test_mass_overflow_is_typed():
+    steep = make_profile([(-1.0, -3.0)], MinusInfinity(3.0))
+    assert math.isfinite(ma_measure(steep, 200).origin_mass)
+    with pytest.raises(MassOverflow):
+        ma_measure(steep, 300)  # origin atom (6*pi)^300
+    with pytest.raises(MassOverflow):
+        ma_measure(steep.truncate(1.0), 300)  # release atom
+    kink = make_profile([(-1.0, -1.0)], FiniteValue(-1.0), final_slope=3.0)
+    with pytest.raises(MassOverflow):
+        ma_measure(kink, 300)  # knot atom
+    with pytest.raises(MassOverflow):
+        ma_measure(constant_profile(-1.0), 400)  # (2*pi)^400 itself
+    with pytest.raises(MassOverflow):
+        capacity(closed_ball(-1.0), 0.0, 400)
+    assert capacity(closed_ball(-1.0), 0.0, 300) == TWO_PI**300
 
 
 def test_constant_profile_has_zero_measure():

@@ -1,11 +1,13 @@
 """Finite-difference and relaxation oracles against the exact modules."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from radialma import (
     Grid1D,
+    GridTooLarge,
     NegativeSecondDifference,
     NotConverged,
     PowerTail,
@@ -110,6 +112,22 @@ def test_relaxation_reports_nonconvergence():
         relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=3)
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+
+
+def test_oracle_work_is_bounded_before_any_sweep():
+    start = time.perf_counter()
+    with pytest.raises(GridTooLarge):
+        oracle_capacity(closed_ball(-1.0), 0.0, 1, h=1e-6)
+    with pytest.raises(GridTooLarge):
+        relaxation_envelope(
+            closed_ball(-2.0), 0.0, Grid1D.from_bounds(-3.0, 0.0, 1e-4)
+        )
+    assert time.perf_counter() - start < 1.0
+    # the largest grid the suite solves stays well inside the bound
+    grid = Grid1D.from_bounds(-3.0, 0.0, 3.0 / 19_999)
+    assert grid.count + 1 == 20_000
+    with pytest.raises(NotConverged):
+        relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=1)
 
 
 @pytest.mark.parametrize("j", [1, 4, 64, 1024])

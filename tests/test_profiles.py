@@ -69,6 +69,30 @@ def test_breakpoints_must_lie_below_boundary():
         log_profile().right_slope(1.0)
 
 
+def test_nan_is_out_of_domain():
+    for p in (log_profile(), log_profile().truncate(2.0), max_const_profile(0.0, 1.0)):
+        with pytest.raises(OutOfDomain, match="NaN"):
+            p.value(math.nan)
+        with pytest.raises(OutOfDomain, match="NaN"):
+            p.values(np.array([-1.0, math.nan]))
+        with pytest.raises(OutOfDomain, match="NaN"):
+            p.right_slope(math.nan)
+    # NaN and log_R are told apart only on the error path
+    with pytest.raises(OutOfDomain, match="log_R"):
+        log_profile().values(np.array([-1.0, 0.0]))
+    assert log_profile().values(np.array([])).size == 0
+
+
+def test_clamp_level_must_be_a_float_below_inf():
+    p = log_profile()
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            p.max_with_affine(0.0, c)
+    with pytest.raises(ValueError):
+        p.truncate(math.nan)
+    assert p.max_with_affine(0.0, NEG_INF) is p
+
+
 def test_truncate_log():
     p = log_profile()
     q = p.truncate(2.0)
