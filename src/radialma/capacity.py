@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CompactTouchesBoundary, EmptyCompact
+from .errors import CompactTouchesBoundary, EmptyCompact, MassOverflow
 from .measures import RadialMeasure, ma_measure
 from .profiles import (
     ConvexProfile,
@@ -121,7 +121,11 @@ def _condition_series(
             entries.append((j, math.inf))
             touched += 1
             continue
-        entries.append((j, float(j) ** n * capacity(K, profile.log_R, n)))
+        try:
+            scale = float(j) ** n
+        except OverflowError:
+            raise MassOverflow(f"j^n overflows at j={j}, n={n}") from None
+        entries.append((j, scale * capacity(K, profile.log_R, n)))
     return build_series(
         index_name,
         entries,

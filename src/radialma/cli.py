@@ -31,7 +31,7 @@ from .convergence import (
     truncation_sequence,
     weak_convergence_test,
 )
-from .errors import GridTooLarge, RadialMAError
+from .errors import GridTooLarge, MassOverflow, RadialMAError
 from .families import (
     PowerTail,
     default_battery,
@@ -259,6 +259,14 @@ def scenario_counterexample(args):
     return ["k", "mass_on_K", "np_target", "gap"], rows, meta
 
 
+def _scaled(j: int, n: int, c: float) -> float:
+    """j^n * c; MassOverflow when the int j^n has no float."""
+    try:
+        return j**n * c
+    except OverflowError:
+        raise MassOverflow(f"j^n overflows at j={j}, n={n}") from None
+
+
 def scenario_capacity_table(args):
     """C_n(ball(e^-j), unit ball) against the closed form (2*pi/j)^n."""
     n = args.n
@@ -283,13 +291,14 @@ def scenario_capacity_table(args):
         ov = oracle_vals.get(j)
         if ov is not None:
             worst_oracle = max(worst_oracle, abs(ov - closed) / closed)
-        rows.append((j, c, j**n * c, ov) if args.with_oracle else (j, c, j**n * c))
+        scaled = _scaled(j, n, c)
+        rows.append((j, c, scaled, ov) if args.with_oracle else (j, c, scaled))
     _require(
         worst_exact <= 1e-12,
         "closed_form_rel_error_1e-12",
         f"worst {worst_exact}",
     )
-    scaled = build_series("j", [(float(j), j**n * capacity(closed_ball(float(-j)), 0.0, n)) for j in geo])
+    scaled = build_series("j", [(float(j), _scaled(j, n, capacity(closed_ball(float(-j)), 0.0, n))) for j in geo])
     _require(
         scaled.flag == CONVERGING_TO_POSITIVE,
         "scaled_capacity_flag_positive",

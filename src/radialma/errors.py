@@ -50,7 +50,8 @@ class NotAdmissible(RadialMAError):
 
 
 class MassOverflow(RadialMAError):
-    """A Monge-Ampere mass at dimension n does not fit in a float."""
+    """A Monge-Ampere mass at dimension n, or its scale j^n, does not fit
+    in a float."""
 
 
 class GridTooLarge(RadialMAError):

@@ -232,18 +232,27 @@ class RadialTestFunction:
     def _vs(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.nodes)
 
-    def value(self, t: float) -> float:
-        """phi(t); accepts t = -inf and anything up to log_R."""
-        if t > self.log_R:
-            raise OutOfDomain(f"t={t} > log_R={self.log_R}")
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        """Chord slopes; _slopes[i] is the slope on [ts[i], ts[i + 1]]."""
         ts, vs = self._ts, self._vs
+        return tuple(
+            (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)
+        )
+
+    def value(self, t: float) -> float:
+        """phi(t); accepts t = -inf and anything up to log_R, rejects NaN."""
+        if not t <= self.log_R:
+            if math.isnan(t):
+                raise OutOfDomain("t is NaN")
+            raise OutOfDomain(f"t={t} > log_R={self.log_R}")
+        ts = self._ts
         if t <= ts[0]:
             return self.origin_value
         if t >= ts[-1]:
             return 0.0
         i = bisect_right(ts, t) - 1
-        s = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
-        return vs[i] + s * (t - ts[i])
+        return self._vs[i] + self._slopes[i] * (t - ts[i])
 
 
 def plateau(t_one: float, t_zero: float, log_R: float = 0.0, label: str = "") -> RadialTestFunction:

@@ -205,6 +205,12 @@ class ConvexProfile:
                 raise UnorderedBreakpoints(
                     f"t[{i - 1}]={bps[i - 1][0]} !< t[{i}]={bps[i][0]}"
                 )
+        if not math.isfinite(self.final_slope):
+            # every comparison with NaN is false, so the checks below
+            # would let a NaN slope through
+            raise MonotonicityViolation(
+                f"final slope must be finite, got {self.final_slope}"
+            )
         slopes = self._slopes
         for i, s in enumerate(slopes):
             if s < 0.0:
@@ -379,10 +385,28 @@ class ConvexProfile:
 
     def value(self, t: float) -> float:
         """Evaluate chi(t).  Accepts t = -inf; raises OutOfDomain at log_R
-        and for NaN."""
+        and for NaN.
+
+        The same floats as max(self._formula_value(t), self.floor),
+        computed in one frame: the chord slope comes from ``_slopes``
+        instead of a per-call division, and the clamp is the comparison
+        ``max`` makes.
+        """
         if not t < self.log_R:
             raise self._out_of_domain(t)
-        return max(self._formula_value(t), self.floor)
+        ts, vs, slopes = self._ts, self._vs, self._slopes
+        if t <= ts[0]:
+            s = slopes[0]
+            # a zero tail slope means a FiniteValue tail, whose own value
+            # is returned (it may differ from vs[0] in the sign of zero)
+            x = vs[0] + s * (t - ts[0]) if s else self.tail.value
+        elif t >= ts[-1]:
+            x = vs[-1] + slopes[-1] * (t - ts[-1])
+        else:
+            i = bisect_right(ts, t)
+            x = vs[i - 1] + slopes[i] * (t - ts[i - 1])
+        floor = self.floor
+        return floor if floor > x else x
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of t < log_R; NaN is rejected."""

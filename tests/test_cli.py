@@ -170,6 +170,17 @@ def test_mass_overflow_exits_2_on_one_line(tmp_path):
     assert len(lines) == 1 and "MassOverflow" in lines[0]
 
 
+@pytest.mark.parametrize("scenario", ["capacity-table", "condition", "maximality"])
+def test_scale_overflow_exits_2_on_one_line(tmp_path, scenario):
+    # at n = 300 the masses fit in a float but the scale j^n does not
+    r = run_cli([scenario, "--n", "300"], tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "MassOverflow" in lines[0] and "j^n" in lines[0]
+    assert not (tmp_path / f"{scenario}.csv").exists()
+
+
 def test_oversized_oracle_grid_is_a_quick_usage_error(tmp_path):
     # h=1e-6 asks for a grid of about 1.1M nodes
     start = time.perf_counter()

@@ -62,6 +62,15 @@ def test_constructor_rejects_bad_input():
         make_profile([(1.0, 1.0)], MinusInfinity(1.0), log_R=0.0)
 
 
+def test_final_slope_must_be_finite():
+    # a NaN slope passes every ordering comparison, so it needs its own check
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MonotonicityViolation, match="final slope"):
+            make_profile([(-1.0, -1.0)], FiniteValue(-1.0), final_slope=s)
+        with pytest.raises(MonotonicityViolation, match="final slope"):
+            make_profile([(-2.0, -2.0), (-1.0, -1.0)], MinusInfinity(1.0), final_slope=s)
+
+
 def test_breakpoints_must_lie_below_boundary():
     with pytest.raises(OutOfDomain):
         log_profile().value(0.0)

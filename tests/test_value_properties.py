@@ -1,0 +1,142 @@
+"""Pointwise evaluation in one frame: property tests.
+
+``ConvexProfile.value`` and ``RadialTestFunction.value`` read cached
+chord slopes and clamp with one comparison.  These properties pin both
+to references kept here, which evaluate the way the package used to:
+the formula clamped by the builtin ``max``, and a chord slope divided
+out per call.  Results are compared as bit patterns, so 0.0 and -0.0
+count as different.
+"""
+import math
+import struct
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radialma import (
+    FiniteValue,
+    OutOfDomain,
+    RadialTestFunction,
+    default_battery,
+    geometric_schedule,
+    log_profile,
+    make_profile,
+    power_tail_profile,
+    punctured_battery,
+    random_profile,
+)
+
+SCHEDULE = geometric_schedule()
+NEG_INF = float("-inf")
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def reference_value(p, t: float) -> float:
+    return max(p._formula_value(t), p.floor)
+
+
+def reference_phi(phi: RadialTestFunction, t: float) -> float:
+    ts = [s for s, _ in phi.nodes]
+    vs = [v for _, v in phi.nodes]
+    if t <= ts[0]:
+        return phi.origin_value
+    if t >= ts[-1]:
+        return 0.0
+    i = bisect_right(ts, t) - 1
+    s = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
+    return vs[i] + s * (t - ts[i])
+
+
+def signed_zero_profiles():
+    """Profiles whose values or clamps are zeros of either sign."""
+    return [
+        # the tail keeps -0.0 although the knot stores 0.0
+        make_profile([(-1.0, 0.0)], FiniteValue(-0.0), 1.0),
+        make_profile([(-1.0, -0.0), (-0.5, -0.0)], FiniteValue(-0.0), 2.0),
+        log_profile(1.0).max_with_affine(0.0, -0.0),
+        log_profile(1.0).max_with_affine(0.0, 0.0),
+    ]
+
+
+@st.composite
+def profiles(draw):
+    """Seeded random draws (bounded, unbounded, either), the log and
+    power-tail families, signed-zero cases, and truncated copies."""
+    kind = draw(
+        st.sampled_from(["bounded", "unbounded", "random", "log", "powertail", "zero"])
+    )
+    if kind == "log":
+        p = log_profile()
+    elif kind == "powertail":
+        p = power_tail_profile(0.5)
+    elif kind == "zero":
+        p = draw(st.sampled_from(signed_zero_profiles()))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        bounded = {"bounded": True, "unbounded": False, "random": None}[kind]
+        log_R = draw(st.sampled_from([0.0, 1.0]))
+        p = random_profile(rng, log_R, bounded=bounded)
+    pre = draw(st.sampled_from((None,) + SCHEDULE))
+    if pre is not None:
+        p = p.truncate(float(pre))
+    return p
+
+
+def probe_points(ts, log_R: float, floor_edge: float = NEG_INF) -> list[float]:
+    """Knots, midpoints and neighbours of knots, both tails, -inf and the
+    last float below log_R."""
+    pts = [NEG_INF, math.nextafter(log_R, NEG_INF)]
+    for t in ts:
+        pts += [t, math.nextafter(t, NEG_INF), math.nextafter(t, math.inf)]
+    for a, b in zip(ts, ts[1:]):
+        pts += [0.5 * (a + b), a + 0.25 * (b - a)]
+    pts += [ts[0] - 1.0, ts[0] - 1e3, 0.5 * (ts[-1] + log_R)]
+    if floor_edge != NEG_INF:
+        pts += [floor_edge, math.nextafter(floor_edge, NEG_INF)]
+    return [t for t in pts if t < log_R]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=profiles(), u=st.floats(0.0, 1.0), far=st.floats(-1e6, 0.0))
+def test_profile_value_matches_reference_bitwise(p, u, far):
+    ts = p._ts
+    pts = probe_points(ts, p.log_R, p._floor_edge)
+    # a drawn point inside the knot span, and one anywhere left of log_R
+    pts += [ts[0] + u * (ts[-1] - ts[0]), min(p.log_R + far, math.nextafter(p.log_R, NEG_INF))]
+    for t in pts:
+        assert bits(p.value(t)) == bits(reference_value(p, t)), t
+
+
+def test_signed_zero_tail_is_kept():
+    p = signed_zero_profiles()[0]
+    assert bits(p.value(-2.0)) == bits(-0.0)
+    assert bits(p.value(NEG_INF)) == bits(-0.0)
+    assert bits(p.value(-1.0)) == bits(-0.0)  # the tail branch owns the first knot
+
+
+@pytest.mark.parametrize(
+    "phi",
+    default_battery() + punctured_battery() + default_battery(1.0) + punctured_battery(-0.5),
+    ids=lambda phi: f"{phi.label}/{phi.log_R:g}",
+)
+@settings(max_examples=40, deadline=None)
+@given(u=st.floats(0.0, 1.0))
+def test_radial_test_function_value_matches_reference_bitwise(phi, u):
+    ts = phi._ts
+    pts = probe_points(ts, phi.log_R) + [phi.log_R, ts[0] + u * (ts[-1] - ts[0])]
+    for t in pts:
+        assert bits(phi.value(t)) == bits(reference_phi(phi, t)), t
+
+
+def test_radial_test_function_rejects_nan_and_points_past_log_R():
+    phi = default_battery()[0]
+    with pytest.raises(OutOfDomain, match="NaN"):
+        phi.value(math.nan)
+    with pytest.raises(OutOfDomain, match="log_R"):
+        phi.value(math.nextafter(phi.log_R, math.inf))
