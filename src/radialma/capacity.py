@@ -6,25 +6,20 @@ radial, with a convex nondecreasing profile: the largest convex
 nondecreasing minorant of the obstacle that is -1 on K and 0 at log R.
 The capacity is the Monge-Ampere mass the extremal profile puts on K.
 
-For interval unions only the rightmost edge b of K matters: the
-envelope is -1 on (-inf, b] and the chord to (log R, 0) after, so
-cap(K) = (2*pi / (log R - b))^n.  The construction below still runs a
-lower convex hull over the obstacle vertices followed by the monotone
-correction, and tests pin the closed form against it.
+For interval unions only the rightmost edge b of K matters: every
+obstacle vertex sits at height -1, so the envelope is -1 on (-inf, b]
+and the chord to (log R, 0) after, and cap(K) = (2*pi / (log R - b))^n.
+``extremal_profile`` builds that one-knot profile directly; property
+tests pin it and the capacity against the closed form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import CompactTouchesBoundary, EmptyCompact, MassOverflow
+from .errors import MassOverflow
 from .measures import RadialMeasure, ma_measure
-from .profiles import (
-    ConvexProfile,
-    FiniteValue,
-    RadialCompact,
-    NEG_INF,
-)
+from .profiles import ConvexProfile, FiniteValue, RadialCompact
 from .series import DiagnosticSeries, build_series, geometric_schedule
 
 
@@ -39,49 +34,15 @@ class ExtremalResult:
     capacity: float
 
 
-def _lower_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Lower convex hull of points sorted by x (monotone chain)."""
-    hull: list[tuple[float, float]] = []
-    for p in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep strictly right turns; collinear middle points drop out
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def extremal_profile(K: RadialCompact, log_R: float = 0.0) -> ConvexProfile:
     """Profile of the relative extremal function of K in the R-ball.
 
-    Lower convex hull of the obstacle vertices {(t, -1) : t endpoint of
-    K} together with (log_R, 0), then the monotone correction: left of
-    the last contact at height -1 the profile stays -1.
+    Flat at -1 up to b = K.sup, then the chord of slope 1 / (log_R - b)
+    to (log_R, 0).
     """
-    if K.is_empty:
-        raise EmptyCompact("extremal profile needs a nonempty compact")
-    if K.sup >= log_R:
-        raise CompactTouchesBoundary(
-            f"compact reaches t={K.sup} >= log_R={log_R}"
-        )
-    points = []
-    for a, b in K.intervals:
-        if a != NEG_INF and (not points or points[-1][0] != a):
-            points.append((a, -1.0))
-        if not points or points[-1][0] != b:
-            points.append((b, -1.0))
-    points.append((log_R, 0.0))
-    hull = _lower_hull(points)
-    # monotone correction: flat at -1 up to the last contact
-    contact = max(t for t, v in hull if v == -1.0)
-    rising = [(t, v) for t, v in hull if t > contact and t < log_R]
-    bps = ((contact, -1.0),) + tuple(rising)
-    last_t, last_v = bps[-1]
-    final = (0.0 - last_v) / (log_R - last_t)
-    return ConvexProfile(bps, FiniteValue(-1.0), final, log_R)
+    K.require_inside(log_R)
+    b = K.sup
+    return ConvexProfile(((b, -1.0),), FiniteValue(-1.0), 1.0 / (log_R - b), log_R)
 
 
 def extremal(K: RadialCompact, log_R: float, n: int) -> ExtremalResult:
@@ -106,12 +67,13 @@ def _condition_series(
     profile: ConvexProfile,
     n: int,
     set_at_level,
-    index_name: str,
     schedule,
 ) -> DiagnosticSeries:
+    """j^n * cap_n(set_at_level(-j)) over the schedule (by default
+    ``geometric_schedule()``), inf where the set fills the ball."""
     entries = []
     touched = 0
-    for j in schedule:
+    for j in geometric_schedule() if schedule is None else schedule:
         K = set_at_level(float(-j))
         if K.is_empty:
             entries.append((j, 0.0))
@@ -127,7 +89,7 @@ def _condition_series(
             raise MassOverflow(f"j^n overflows at j={j}, n={n}") from None
         entries.append((j, scale * capacity(K, profile.log_R, n)))
     return build_series(
-        index_name,
+        "j",
         entries,
         extra_metadata={"boundary_touching_entries": touched, "n": n},
     )
@@ -144,9 +106,7 @@ def condition_sublevel(
     measures converge to the nonpolar part; the converse fails (the log
     profile yields the constant (2*pi)^n).
     """
-    if schedule is None:
-        schedule = geometric_schedule()
-    return _condition_series(profile, n, profile.sublevel, "j", schedule)
+    return _condition_series(profile, n, profile.sublevel, schedule)
 
 
 def condition_level(
@@ -155,6 +115,4 @@ def condition_level(
     schedule=None,
 ) -> DiagnosticSeries:
     """Series j^n * cap_n({u == -j}) over the schedule, with its flag."""
-    if schedule is None:
-        schedule = geometric_schedule()
-    return _condition_series(profile, n, profile.level_set, "j", schedule)
+    return _condition_series(profile, n, profile.level_set, schedule)

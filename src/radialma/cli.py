@@ -270,17 +270,14 @@ def _scaled(j: int, n: int, c: float) -> float:
 def scenario_capacity_table(args):
     """C_n(ball(e^-j), unit ball) against the closed form (2*pi/j)^n."""
     n = args.n
-    js = (
-        list(range(1, args.j_max + 1))
-        if args.dense
-        else [int(j) for j in geometric_schedule(args.j_max)]
-    )
     geo = [int(j) for j in geometric_schedule(args.j_max)]
+    js = list(range(1, args.j_max + 1)) if args.dense else geo
     oracle_vals = {}
     if args.with_oracle:
         for j in geo:
             oracle_vals[j] = oracle_capacity(closed_ball(float(-j)), 0.0, n, h=args.h)
     rows = []
+    scaled_at = {}  # j -> j^n * capacity; js holds every geometric j
     worst_exact = 0.0
     worst_oracle = 0.0
     for j in js:
@@ -291,14 +288,14 @@ def scenario_capacity_table(args):
         ov = oracle_vals.get(j)
         if ov is not None:
             worst_oracle = max(worst_oracle, abs(ov - closed) / closed)
-        scaled = _scaled(j, n, c)
-        rows.append((j, c, scaled, ov) if args.with_oracle else (j, c, scaled))
+        scaled_at[j] = _scaled(j, n, c)
+        rows.append((j, c, scaled_at[j], ov) if args.with_oracle else (j, c, scaled_at[j]))
     _require(
         worst_exact <= 1e-12,
         "closed_form_rel_error_1e-12",
         f"worst {worst_exact}",
     )
-    scaled = build_series("j", [(float(j), _scaled(j, n, capacity(closed_ball(float(-j)), 0.0, n))) for j in geo])
+    scaled = build_series("j", [(float(j), scaled_at[j]) for j in geo])
     _require(
         scaled.flag == CONVERGING_TO_POSITIVE,
         "scaled_capacity_flag_positive",
@@ -323,13 +320,35 @@ def scenario_capacity_table(args):
     return cols, rows, meta
 
 
-_EXPECTED_CONDITION = {
-    # family tag prefix -> expected flag of the scaled sublevel series
-    "log": CONVERGING_TO_POSITIVE,
-    "maxconst": CONVERGING_TO_ZERO,
-    "powertail": CONVERGING_TO_ZERO,
-    "linearcap": CONVERGING_TO_ZERO,
+# family -> scenario -> expected flag (condition) or verdict; the random
+# family has none.  The log profile stays positive for both condition
+# variants: the extremal envelope fills the hole of the sphere {u = -j},
+# so the level capacity equals the sublevel one.
+_HOLDS = {"condition": CONVERGING_TO_ZERO, "maximality": "not-maximal", "membership": "in-domain"}
+_EXPECTED = {
+    "log": {
+        "condition": CONVERGING_TO_POSITIVE,
+        "maximality": "maximal-off-origin",
+        "membership": "hypothesis-positive-no-verdict",
+    },
+    "maxconst": _HOLDS,
+    "powertail": _HOLDS,
+    "linearcap": _HOLDS,
 }
+
+
+def _check_expected(args, tag, what, got, series):
+    """Require the family's expected flag or verdict for this scenario;
+    returns it, or None when the family has none."""
+    expected = _EXPECTED.get(args.family, {}).get(args.command)
+    if expected is not None:
+        _require(
+            got == expected,
+            f"family_expected_{what}",
+            f"{tag}: {what} {got}, expected {expected}",
+            series,
+        )
+    return expected
 
 
 def scenario_condition(args):
@@ -342,17 +361,7 @@ def scenario_condition(args):
         else condition_sublevel(profile, args.n, schedule)
     )
     rows = list(zip(cond.indices, cond.values))
-    expected = _EXPECTED_CONDITION.get(args.family)
-    if expected is not None:
-        # the log profile stays positive for both variants: the extremal
-        # envelope fills the hole of the sphere {u = -j}, so the level
-        # capacity equals the sublevel one
-        _require(
-            cond.flag == expected,
-            "family_expected_flag",
-            f"{tag}: flag {cond.flag}, expected {expected}",
-            [cond],
-        )
+    expected = _check_expected(args, tag, "flag", cond.flag, [cond])
     meta = {
         "profile": tag,
         "which": args.which,
@@ -432,14 +441,6 @@ def scenario_weak_converge(args):
     return ["phi", "k", "integral", "np_target"], rows, meta
 
 
-_EXPECTED_MAXIMALITY = {
-    "log": "maximal-off-origin",
-    "maxconst": "not-maximal",
-    "powertail": "not-maximal",
-    "linearcap": "not-maximal",
-}
-
-
 def scenario_maximality(args):
     """Vanishing-nonpolar-part maximality check for a family profile."""
     profile, tag = _build_family(args)
@@ -448,16 +449,9 @@ def scenario_maximality(args):
     for s in report.conclusion_series:
         for j, v in zip(s.indices, s.values):
             rows.append((s.metadata["phi"], int(j), v))
-    expected = _EXPECTED_MAXIMALITY.get(args.family)
-    if expected == "not-maximal" and args.family == "linearcap" and profile.final_slope == 0.0:
-        expected = None  # degenerate constant profile has zero measure
-    if expected is not None:
-        _require(
-            report.verdict == expected,
-            "family_expected_verdict",
-            f"{tag}: verdict {report.verdict}, expected {expected}",
-            report.conclusion_series[:2],
-        )
+    # a linearcap profile with zero slope is constant and has zero measure
+    if not (args.family == "linearcap" and profile.final_slope == 0.0):
+        _check_expected(args, tag, "verdict", report.verdict, report.conclusion_series[:2])
     meta = {
         "profile": tag,
         "n": args.n,
@@ -469,28 +463,13 @@ def scenario_maximality(args):
     return ["phi", "j", "integral"], rows, meta
 
 
-_EXPECTED_MEMBERSHIP = {
-    "log": "hypothesis-positive-no-verdict",
-    "maxconst": "in-domain",
-    "powertail": "in-domain",
-    "linearcap": "in-domain",
-}
-
-
 def scenario_membership(args):
     """Membership diagnostic for the Monge-Ampere operator's domain."""
     profile, tag = _build_family(args)
     report = ma_domain_membership(profile, args.n, schedule=geometric_schedule(args.j_max))
     hyp = report.hypothesis_series
     rows = list(zip((int(j) for j in hyp.indices), hyp.values))
-    expected = _EXPECTED_MEMBERSHIP.get(args.family)
-    if expected is not None:
-        _require(
-            report.verdict == expected,
-            "family_expected_verdict",
-            f"{tag}: verdict {report.verdict}, expected {expected}",
-            [hyp],
-        )
+    _check_expected(args, tag, "verdict", report.verdict, [hyp])
     meta = {
         "profile": tag,
         "n": args.n,
@@ -618,7 +597,12 @@ _SCENARIOS = {
 }
 
 
-def _add_family_flags(p):
+def _add_family_parser(sub, name, summary, index="j_max"):
+    """Subparser with --n, the level cap (--j-max or --k-max) and the
+    --family flags."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--" + index.replace("_", "-"), dest=index, type=int, default=1024)
     p.add_argument("--family", default="log", choices=["log", "maxconst", "powertail", "linearcap", "random"])
     p.add_argument("--c", type=float, default=-1.0, help="constant for maxconst")
     p.add_argument("--alpha", type=float, default=0.5, help="exponent for powertail")
@@ -626,6 +610,7 @@ def _add_family_flags(p):
     p.add_argument("--b", type=float, default=-1.0, help="cap for linearcap")
     p.add_argument("--seed", type=int, default=0, help="seed for random family")
     p.add_argument("--log-R", dest="log_R", type=float, default=0.0)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,31 +632,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--h", type=float, default=1e-3)
 
-    p = sub.add_parser("condition", help="scaled capacity condition series for a family")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--j-max", dest="j_max", type=int, default=1024)
+    p = _add_family_parser(sub, "condition", "scaled capacity condition series for a family")
     p.add_argument("--which", default="sublevel", choices=["sublevel", "level"])
-    _add_family_flags(p)
-
-    p = sub.add_parser("truncate-analyze", help="total = interior + level decomposition on compacts")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--j-max", dest="j_max", type=int, default=1024)
-    _add_family_flags(p)
-
-    p = sub.add_parser("weak-converge", help="truncation sequence vs the test-function battery")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k-max", dest="k_max", type=int, default=1024)
-    _add_family_flags(p)
-
-    p = sub.add_parser("maximality", help="vanishing nonpolar part off the origin")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--j-max", dest="j_max", type=int, default=1024)
-    _add_family_flags(p)
-
-    p = sub.add_parser("membership", help="Monge-Ampere domain membership diagnostic")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--j-max", dest="j_max", type=int, default=1024)
-    _add_family_flags(p)
+    _add_family_parser(sub, "truncate-analyze", "total = interior + level decomposition on compacts")
+    _add_family_parser(sub, "weak-converge", "truncation sequence vs the test-function battery", "k_max")
+    _add_family_parser(sub, "maximality", "vanishing nonpolar part off the origin")
+    _add_family_parser(sub, "membership", "Monge-Ampere domain membership diagnostic")
 
     p = sub.add_parser("oracle-check", help="exact calculus vs FD and relaxation oracles")
     p.add_argument("--h", type=float, default=1e-3)

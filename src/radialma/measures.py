@@ -104,7 +104,11 @@ class RadialMeasure:
 def _mass(n: int, s_after: float, s_before: float = 0.0) -> float:
     """(2*pi)^n * (s_after^n - s_before^n); MassOverflow unless finite."""
     try:
-        mass = TWO_PI**n * (s_after**n - s_before**n)
+        scale = TWO_PI**n
+    except OverflowError:
+        raise MassOverflow(f"(2*pi)^n overflows at n={n}") from None
+    try:
+        mass = scale * (s_after**n - s_before**n)
     except OverflowError:
         mass = math.inf
     if not math.isfinite(mass):

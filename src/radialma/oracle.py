@@ -2,10 +2,13 @@
 
 Both routes deliberately avoid the closed-form slope bookkeeping used
 by the exact modules.  ``fd_riesz_measure`` reads the n = 1 measure off
-second differences of sampled values; ``relaxation_envelope`` solves
-the discrete obstacle problem for the relative extremal function with
-projected SOR sweeps and only at the very end packages the node values
-as a profile.
+second differences of sampled values; ``relaxation_envelope`` and
+``oracle_capacity`` solve the discrete obstacle problem for the
+relative extremal function with projected SOR sweeps and only at the
+very end package the node values as a profile or read a slope off them.
+With the exact path they share only the types they read and return;
+``RadialCompact.require_inside`` rejects an empty compact, or one that
+reaches log_R, before any grid is built.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import numpy as np
 
 from .errors import (
     CompactTouchesBoundary,
-    EmptyCompact,
     GridTooLarge,
     NegativeSecondDifference,
     NotConverged,
@@ -28,6 +30,9 @@ from .profiles import ConvexProfile, FiniteValue, RadialCompact, NEG_INF
 # PSOR needs O(nodes^2) work; the largest grid the acceptance suite and
 # the default CLI scenarios build has 6,652 nodes
 MAX_GRID_NODES = 20_000
+
+# a sweep that moves no node by more than this ends the relaxation
+SWEEP_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,7 @@ def _psor_solve(
     K: RadialCompact,
     log_R: float,
     grid: Grid1D,
-    tol: float,
     max_sweeps: int | None,
-    omega: float | None,
 ) -> np.ndarray:
     """Discrete obstacle solution at the grid nodes (shared solver).
 
@@ -129,12 +132,7 @@ def _psor_solve(
         raise GridTooLarge(
             f"grid has {grid.count + 1} nodes, more than {MAX_GRID_NODES}"
         )
-    if K.is_empty:
-        raise EmptyCompact("relaxation needs a nonempty compact")
-    if K.sup >= log_R:
-        raise CompactTouchesBoundary(
-            f"compact reaches t={K.sup} >= log_R={log_R}"
-        )
+    K.require_inside(log_R)
     nodes = grid.nodes
     if abs(grid.right - log_R) > 1e-9 * grid.h:
         raise ValueError("grid must end at log_R (the boundary node)")
@@ -148,8 +146,7 @@ def _psor_solve(
     ob = np.minimum.accumulate(o[::-1])[::-1]
     v = ob.copy()
     m = grid.count
-    if omega is None:
-        omega = 2.0 / (1.0 + math.sin(math.pi / m))
+    omega = 2.0 / (1.0 + math.sin(math.pi / m))
     if max_sweeps is None:
         max_sweeps = 40 * m + 2000
     odd = np.arange(1, m, 2)
@@ -168,7 +165,7 @@ def _psor_solve(
         new0 = min(ob[0], v[0] + omega * 0.5 * (v[1] - v[0]))
         delta = max(delta, abs(new0 - v[0]))
         v[0] = new0
-        if delta <= tol:
+        if delta <= SWEEP_TOL:
             break
     else:
         raise NotConverged(max_sweeps, delta)
@@ -180,19 +177,20 @@ def relaxation_envelope(
     K: RadialCompact,
     log_R: float,
     grid: Grid1D,
-    tol: float = 1e-11,
     max_sweeps: int | None = None,
-    omega: float | None = None,
 ) -> ConvexProfile:
     """Relative extremal profile of K by projected SOR on the obstacle LCP.
 
     Solves for the largest grid function that is below the monotone
     envelope of the obstacle (-1 on K, 0 at the boundary node) and
-    discretely convex, sweeping red-black with overrelaxation until a
-    full sweep moves no node by more than ``tol``.  The fixed point is
-    thinned to its slope-jump knots and returned as a profile.
+    discretely convex, sweeping red-black with the optimal
+    overrelaxation factor 2 / (1 + sin(pi / cells)) until a full sweep
+    moves no node by more than SWEEP_TOL.  ``max_sweeps`` (default
+    40 * cells + 2000) bounds the sweeps; NotConverged when it runs out.
+    The fixed point is thinned to its slope-jump knots and returned as
+    a profile.
     """
-    v = _psor_solve(K, log_R, grid, tol, max_sweeps, omega)
+    v = _psor_solve(K, log_R, grid, max_sweeps)
     return _profile_from_grid(grid.nodes, v, log_R)
 
 
@@ -223,28 +221,23 @@ def oracle_capacity(
     log_R: float,
     n: int,
     h: float = 1e-3,
-    grid: Grid1D | None = None,
 ) -> float:
     """Capacity via the relaxation oracle, without the exact modules.
 
-    The slope is read off the discrete envelope at the last contact
-    node, and the capacity is (2*pi*slope)^n.  With no explicit grid,
-    one is built over the chord span with relative spacing h, so the
-    relative error stays O(h) uniformly in the depth of K.
+    The grid runs from an eighth of the chord span left of K's leftmost
+    finite point to log_R with spacing h times the chord span
+    log_R - K.sup, so the relative error stays O(h) uniformly in the
+    depth of K.  The slope is read off the discrete envelope at the last
+    contact node, and the capacity is (2*pi*slope)^n.  The empty set has
+    capacity 0.
     """
     if K.is_empty:
         return 0.0
-    if K.sup >= log_R:
-        raise CompactTouchesBoundary(
-            f"compact reaches t={K.sup} >= log_R={log_R}"
-        )
-    if grid is None:
-        b = K.sup
-        span = log_R - b
-        pts = [x for a, bb in K.intervals for x in (a, bb) if x != NEG_INF]
-        left = min(pts) - 0.125 * span
-        grid = Grid1D.from_bounds(left, log_R, h * span)
-    v = _psor_solve(K, log_R, grid, 1e-11, None, None)
+    K.require_inside(log_R)
+    span = log_R - K.sup
+    pts = [x for ab in K.intervals for x in ab if x != NEG_INF]
+    grid = Grid1D.from_bounds(min(pts) - 0.125 * span, log_R, h * span)
+    v = _psor_solve(K, log_R, grid, None)
     contact = int(np.flatnonzero(v <= -1.0 + 1e-9)[-1])
     sigma = (float(v[contact + 1]) - float(v[contact])) / grid.h
     return (TWO_PI * sigma) ** n

@@ -24,7 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CompactTouchesBoundary,
     ConvexityViolation,
+    EmptyCompact,
     MonotonicityViolation,
     OutOfDomain,
     UnorderedBreakpoints,
@@ -102,6 +104,16 @@ class RadialCompact:
     def sup(self) -> float:
         """Rightmost point; NEG_INF for the empty set."""
         return self.intervals[-1][1] if self.intervals else NEG_INF
+
+    def require_inside(self, log_R: float) -> None:
+        """Raise unless the compact is nonempty and ends before log_R:
+        only then does it have a relative extremal function."""
+        if not self.intervals:
+            raise EmptyCompact("the relative extremal function needs a nonempty compact")
+        if self.sup >= log_R:
+            raise CompactTouchesBoundary(
+                f"compact reaches t={self.sup} >= log_R={log_R}"
+            )
 
     def contains(self, t: float) -> bool:
         for a, b in self.intervals:
@@ -301,28 +313,26 @@ class ConvexProfile:
         # _slopes[i + 1] is the chord slope on [ts[i], ts[i + 1])
         return self._slopes[bisect_right(ts, t)]
 
-    def _formula_sublevel_edge(self, s: float) -> float | None:
-        """sup{t : formula(t) <= s}, None when empty, log_R when total.
+    def _crossing(self, k: int, s: float) -> float:
+        """Where the formula segment right of knot k (k = -1: the left
+        tail) reaches level s.
 
-        The crossing on a rising segment is computed by one fixed
-        interpolation formula anchored at the stored knots, so repeated
-        queries at the same level agree bitwise.
+        One fixed interpolation formula anchored at a stored knot, with
+        the cached segment slope, so repeated queries at the same level
+        agree bitwise.
         """
+        i = max(k, 0)
+        return self._ts[i] + (s - self._vs[i]) / self._slopes[k + 1]
+
+    def _formula_sublevel_edge(self, s: float) -> float | None:
+        """sup{t : formula(t) <= s}, None when empty, log_R when total."""
         if self._formula_left_value() > s:
             return None
-        ts, vs = self._ts, self._vs
         if self._formula_boundary_limit() <= s:
             return self.log_R
-        if isinstance(self.tail, MinusInfinity) and vs[0] > s:
-            return ts[0] + (s - vs[0]) / self.tail.slope
-        # last knot with value <= s; the crossing sits on the next segment
-        k = bisect_right(vs, s) - 1
-        if k < 0:
-            raise AssertionError("unreachable: sublevel edge before knots")
-        if k == len(ts) - 1:
-            return ts[k] + (s - vs[k]) / self.final_slope
-        slope = (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
-        return ts[k] + (s - vs[k]) / slope
+        # last knot with value <= s (-1 on a rising tail); the crossing
+        # sits on the next segment
+        return self._crossing(bisect_right(self._vs, s) - 1, s)
 
     @cached_property
     def _floor_edge(self) -> float:
@@ -477,7 +487,7 @@ class ConvexProfile:
         if self._formula_boundary_limit() < s:
             return empty_compact()
         if isinstance(self.tail, MinusInfinity) and vs[0] >= s:
-            lo = ts[0] + (s - vs[0]) / self.tail.slope
+            lo = self._crossing(-1, s)
         else:
             k = bisect_right(vs, s) - 1
             if vs[k] == s:
@@ -485,13 +495,10 @@ class ConvexProfile:
                 while k > 0 and vs[k - 1] == s:
                     k -= 1
                 lo = ts[k]
-            elif k == len(ts) - 1:
-                if self.final_slope == 0.0:
-                    return empty_compact()  # chi < s up to the boundary
-                lo = ts[k] + (s - vs[k]) / self.final_slope
+            elif k == len(ts) - 1 and self.final_slope == 0.0:
+                return empty_compact()  # chi < s up to the boundary
             else:
-                slope = (vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])
-                lo = ts[k] + (s - vs[k]) / slope
+                lo = self._crossing(k, s)
         if hi is None or hi < lo or lo >= self.log_R:
             return empty_compact()
         return RadialCompact(((lo, hi),))

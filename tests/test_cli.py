@@ -170,6 +170,16 @@ def test_mass_overflow_exits_2_on_one_line(tmp_path):
     assert len(lines) == 1 and "MassOverflow" in lines[0]
 
 
+@pytest.mark.parametrize("scenario", ["truncate-analyze", "weak-converge"])
+def test_two_pi_power_overflow_exits_2_on_one_line(tmp_path, scenario):
+    r = run_cli([scenario, "--n", "400"], tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "MassOverflow" in lines[0] and "(2*pi)^n" in lines[0]
+    assert not (tmp_path / f"{scenario}.csv").exists()
+
+
 @pytest.mark.parametrize("scenario", ["capacity-table", "condition", "maximality"])
 def test_scale_overflow_exits_2_on_one_line(tmp_path, scenario):
     # at n = 300 the masses fit in a float but the scale j^n does not

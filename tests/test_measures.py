@@ -252,5 +252,11 @@ def test_mass_overflow_is_typed():
     assert capacity(closed_ball(-1.0), 0.0, 300) == TWO_PI**300
 
 
+def test_two_pi_power_overflow_names_its_cause():
+    # the log profile's masses are (2*pi)^n times 1 or 0: only (2*pi)^400 overflows
+    with pytest.raises(MassOverflow, match=r"^\(2\*pi\)\^n overflows at n=400$"):
+        ma_measure(log_profile(), 400)
+
+
 def test_constant_profile_has_zero_measure():
     assert ma_measure(constant_profile(-3.0), 3).total_mass == 0.0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from radialma import (
+    CompactTouchesBoundary,
+    EmptyCompact,
     Grid1D,
     GridTooLarge,
     NegativeSecondDifference,
@@ -16,6 +18,7 @@ from radialma import (
     closed_ball,
     constant_profile,
     distribution_function,
+    empty_compact,
     extremal_profile,
     fd_riesz_measure,
     log_profile,
@@ -128,6 +131,17 @@ def test_oracle_work_is_bounded_before_any_sweep():
     assert grid.count + 1 == 20_000
     with pytest.raises(NotConverged):
         relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=1)
+
+
+def test_oracles_reject_compacts_without_an_extremal_function():
+    grid = Grid1D.from_bounds(-3.0, 0.0, 1e-2)
+    with pytest.raises(EmptyCompact):
+        relaxation_envelope(empty_compact(), 0.0, grid)
+    with pytest.raises(CompactTouchesBoundary):
+        relaxation_envelope(closed_ball(0.0), 0.0, grid)
+    with pytest.raises(CompactTouchesBoundary):
+        oracle_capacity(annulus(-1.0, 0.5), 0.0, 1)
+    assert oracle_capacity(empty_compact(), 0.0, 1) == 0.0
 
 
 @pytest.mark.parametrize("j", [1, 4, 64, 1024])
