@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -161,6 +162,8 @@ def _build_family(args):
     if fam == "maxconst":
         return max_const_profile(args.c, log_R), f"maxconst({args.c:g})"
     if fam == "powertail":
+        if not 0.0 < args.alpha < 1.0:
+            raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
         return (
             power_tail_profile(args.alpha, log_R=log_R),
             f"powertail({args.alpha:g})",
@@ -597,6 +600,17 @@ _SCENARIOS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: NaN and +-inf are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return x
+
+
 def _add_family_parser(sub, name, summary, index="j_max"):
     """Subparser with --n, the level cap (--j-max or --k-max) and the
     --family flags."""
@@ -604,16 +618,20 @@ def _add_family_parser(sub, name, summary, index="j_max"):
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--" + index.replace("_", "-"), dest=index, type=int, default=1024)
     p.add_argument("--family", default="log", choices=["log", "maxconst", "powertail", "linearcap", "random"])
-    p.add_argument("--c", type=float, default=-1.0, help="constant for maxconst")
-    p.add_argument("--alpha", type=float, default=0.5, help="exponent for powertail")
-    p.add_argument("--a", type=float, default=1.0, help="slope for linearcap")
-    p.add_argument("--b", type=float, default=-1.0, help="cap for linearcap")
+    p.add_argument("--c", type=_finite_float, default=-1.0, help="constant for maxconst")
+    p.add_argument("--alpha", type=_finite_float, default=0.5, help="exponent for powertail")
+    p.add_argument("--a", type=_finite_float, default=1.0, help="slope for linearcap")
+    p.add_argument("--b", type=_finite_float, default=-1.0, help="cap for linearcap")
     p.add_argument("--seed", type=int, default=0, help="seed for random family")
-    p.add_argument("--log-R", dest="log_R", type=float, default=0.0)
+    p.add_argument("--log-R", dest="log_R", type=_finite_float, default=0.0)
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main call shares it, and building it costs about
+    as much as a small scenario."""
     parser = _Parser(prog="radialma", description=__doc__)
     parser.add_argument("--output-dir", default=None, help=f"defaults to ${ENV_OUTDIR} or the working directory")
     parser.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -622,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample", help="zero masses on the ball vs positive nonpolar target")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k-max", dest="k_max", type=int, default=1024)
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=_finite_float, default=1e-3)
     p.add_argument("--variant", default="gap", choices=["gap", "weak-vs-setwise"])
 
     p = sub.add_parser("capacity-table", help="C_n(ball(e^-j), unit ball) vs (2*pi/j)^n")
@@ -630,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-max", dest="j_max", type=int, default=1024)
     p.add_argument("--dense", action="store_true", help="every integer j, not just powers of two")
     p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=_finite_float, default=1e-3)
 
     p = _add_family_parser(sub, "condition", "scaled capacity condition series for a family")
     p.add_argument("--which", default="sublevel", choices=["sublevel", "level"])
@@ -640,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_parser(sub, "membership", "Monge-Ampere domain membership diagnostic")
 
     p = sub.add_parser("oracle-check", help="exact calculus vs FD and relaxation oracles")
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=_finite_float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100, help="random lattice profiles")
     p.add_argument("--envelopes", type=int, default=5, help="random compacts for the envelope check")

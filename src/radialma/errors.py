@@ -28,6 +28,13 @@ class NotConvexOnGrid(RadialMAError):
 class NonStabilized(RadialMAError):
     """Truncation schedule exhausted before the nonpolar part stabilized."""
 
+    def __init__(self, level: int, missing_atoms: int):
+        super().__init__(
+            f"nonpolar part did not stabilize with levels up to {level}"
+        )
+        self.level = level
+        self.missing_atoms = missing_atoms
+
 
 class EmptyCompact(RadialMAError):
     """Operation requires a nonempty compact set."""

@@ -182,7 +182,9 @@ def nonpolar_part(
     the kept atoms equal the full measure's atoms as float tuples, and
     the result is that atom list with no origin mass (the origin atom,
     present only when chi(-inf) = -inf, never meets {u > -j}).
-    Raises NonStabilized when the schedule is exhausted first.
+    Raises NonStabilized when the schedule is exhausted first; it names
+    the last level tried and how many atoms of the full measure the
+    last truncation still lacked.
     """
     full = ma_measure(profile, n)
     for j in schedule:
@@ -192,9 +194,7 @@ def nonpolar_part(
             kept = kept[1:]
         if kept == full.atoms:
             return RadialMeasure(n, 0.0, full.atoms)
-    raise NonStabilized(
-        f"nonpolar part did not stabilize with levels up to {schedule[-1]}"
-    )
+    raise NonStabilized(j, sum(a not in kept for a in full.atoms))
 
 
 @dataclass(frozen=True)

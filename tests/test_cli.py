@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from radialma import cli
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -200,3 +202,53 @@ def test_oversized_oracle_grid_is_a_quick_usage_error(tmp_path):
     assert "Traceback" not in r.stderr
     assert "usage error" in r.stderr and "nodes" in r.stderr
     assert not (tmp_path / "capacity-table.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counterexample", "--h", "nan"],
+        ["counterexample", "--h", "inf"],
+        ["capacity-table", "--with-oracle", "--h", "nan"],
+        ["oracle-check", "--h", "nan"],
+        ["condition", "--family", "powertail", "--alpha", "2"],
+        ["condition", "--family", "powertail", "--alpha", "nan"],
+        ["condition", "--family", "maxconst", "--c", "nan"],
+        ["condition", "--log-R", "inf"],
+        ["condition", "--log-R", "nan"],
+        ["condition", "--family", "linearcap", "--a", "nan"],
+        ["condition", "--family", "linearcap", "--b", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_bad_float_options_are_usage_errors(tmp_path, capsys, argv):
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if ln.startswith("usage error:")]) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_main_shares_one_parser_across_calls(tmp_path, capsys):
+    first = ["condition", "--family", "powertail", "--j-max", "256"]
+
+    def run(outdir, *argv):
+        return cli.main(["--output-dir", str(tmp_path / outdir), *argv])
+
+    assert run("first", *first) == 0
+    assert run("other", "--format", "json", "capacity-table", "--j-max", "16") == 0
+    assert run("other", "condition", "--log-R", "nan") == 1
+    # options and defaults of one call must not leak into the next
+    assert run("other", "condition", "--family", "maxconst", "--c", "-2", "--which", "level") == 0
+    for argv in (["--help"], ["condition", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    assert "counterexample" in capsys.readouterr().out
+    assert run("other", "maximality") == 0
+    assert run("again", *first) == 0
+    for name in ("condition.csv", "condition.meta.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (
+            tmp_path / "first" / name
+        ).read_bytes()
+    assert cli.build_parser() is cli.build_parser()

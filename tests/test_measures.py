@@ -102,8 +102,24 @@ def test_nonpolar_part_schedule_exhaustion():
         MinusInfinity(1.0),
         final_slope=2.0,
     )
-    with pytest.raises(NonStabilized):
+    with pytest.raises(NonStabilized) as exc:
         nonpolar_part(p, 1, schedule=(1, 2, 4))
+    assert str(exc.value) == "nonpolar part did not stabilize with levels up to 4"
+    # the clamp at -4 still covers the only atom, the kink at -5
+    assert exc.value.level == 4
+    assert exc.value.missing_atoms == 1
+    q = make_profile(
+        [(-10.0, -10.0), (-5.0, -4.0)],
+        MinusInfinity(1.0),
+        final_slope=2.0,
+    )
+    assert len(ma_measure(q, 1).atoms) == 2
+    with pytest.raises(NonStabilized) as exc:
+        nonpolar_part(q, 1, schedule=(1,))
+    assert (exc.value.level, exc.value.missing_atoms) == (1, 2)
+    with pytest.raises(NonStabilized) as exc:
+        nonpolar_part(q, 1, schedule=(1, 2, 8))
+    assert (exc.value.level, exc.value.missing_atoms) == (8, 1)
 
 
 def test_mass_on_conventions():
