@@ -32,7 +32,7 @@ from .convergence import (
     truncation_sequence,
     weak_convergence_test,
 )
-from .errors import GridTooLarge, MassOverflow, RadialMAError
+from .errors import GridTooCoarse, GridTooLarge, MassOverflow, RadialMAError
 from .families import (
     PowerTail,
     default_battery,
@@ -677,6 +677,8 @@ def main(argv=None) -> int:
                 raise UsageError(f"--{nm.replace('_', '-')} must be >= 1")
         if getattr(args, "h", 1.0) <= 0:
             raise UsageError("--h must be > 0")
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError("--seed must be >= 0")
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -690,8 +692,8 @@ def main(argv=None) -> int:
             if s is not None:
                 print(s.to_csv(), file=sys.stderr)
         return 2
-    except (UsageError, GridTooLarge) as e:
-        # an oracle grid too large to solve is a bad --h, not a failure
+    except (UsageError, GridTooLarge, GridTooCoarse) as e:
+        # an oracle grid too large or too coarse is a bad --h, not a failure
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (RadialMAError, AssertionError) as e:

@@ -30,7 +30,7 @@ from .measures import (
     ma_measure,
     nonpolar_part,
 )
-from .profiles import ConvexProfile, FiniteValue, RadialCompact, NEG_INF
+from .profiles import ConvexProfile, RadialCompact, NEG_INF
 from .series import (
     CONVERGING_TO_POSITIVE,
     CONVERGING_TO_ZERO,
@@ -489,13 +489,6 @@ def ma_domain_membership(
         verdict = "hypothesis-positive-no-verdict"
     else:
         verdict = "inconclusive"
-    np_equals_ma = False
-    if isinstance(profile.left_end, FiniteValue):
-        np_equals_ma = np_m == ma_measure(profile, n)
-        if not np_equals_ma:
-            raise AssertionError(
-                "bounded profile must have nonpolar part equal to its measure"
-            )
     return HarnessReport(
         scenario="ma-domain-membership",
         hypothesis_series=hypothesis,
@@ -505,7 +498,6 @@ def ma_domain_membership(
         details={
             "np_masses_on_exhaustion": np_masses,
             "np_is_radon": radon,
-            "bounded_np_equals_ma": np_equals_ma,
             "n": n,
         },
     )

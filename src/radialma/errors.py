@@ -26,7 +26,7 @@ class NotConvexOnGrid(RadialMAError):
 
 
 class NonStabilized(RadialMAError):
-    """Truncation schedule exhausted before the nonpolar part stabilized."""
+    """The deepest truncation level still covers atoms of the nonpolar part."""
 
     def __init__(self, level: int, missing_atoms: int):
         super().__init__(
@@ -63,6 +63,10 @@ class MassOverflow(RadialMAError):
 
 class GridTooLarge(RadialMAError):
     """An oracle grid has more nodes than a solve is allowed to sweep."""
+
+
+class GridTooCoarse(RadialMAError):
+    """An oracle grid's first node is not two cells left of the compact."""
 
 
 class NotConverged(RadialMAError):

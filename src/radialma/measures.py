@@ -23,8 +23,8 @@ from .profiles import ConvexProfile, MinusInfinity, RadialCompact, NEG_INF
 
 TWO_PI = 2.0 * math.pi
 
-# doubling truncation schedule used to realize the nonpolar part as an
-# honest increasing limit
+# doubling truncation schedule; its deepest level bounds how far the
+# nonpolar part's increasing limit may look
 NP_SCHEDULE: tuple[int, ...] = tuple(2**k for k in range(21))
 
 
@@ -170,31 +170,27 @@ def nonpolar_part(
     n: int,
     schedule: Sequence[int] = NP_SCHEDULE,
 ) -> RadialMeasure:
-    """Nonpolar part NP(dd^c u)^n as the limit of truncated measures.
+    """Nonpolar part NP(dd^c u)^n: the sphere atoms of (dd^c u)^n.
 
-    Runs the increasing limit of (dd^c max(u, -j))^n restricted to
-    {u > -j} over the doubling schedule.  Restriction is structural: the
-    truncation's clamp release atom sits exactly on {u = -j} and is
-    dropped, but only when the clamp is active at level -j; a profile
-    that already carries a deeper clamp of its own keeps its release
-    atom, which lies inside {u > -j}.  Because truncation preserves
-    every surviving atom bit for bit, the limit is reached exactly when
-    the kept atoms equal the full measure's atoms as float tuples, and
-    the result is that atom list with no origin mass (the origin atom,
+    NP(dd^c u)^n is the increasing limit of (dd^c max(u, -j))^n on
+    {u > -j}.  Truncation keeps every atom right of its clamp release
+    point bit for bit, and a clamp active at -j releases on {u = -j}, so
+    the limit is the full atom list with no origin mass (the origin atom,
     present only when chi(-inf) = -inf, never meets {u > -j}).
-    Raises NonStabilized when the schedule is exhausted first; it names
-    the last level tried and how many atoms of the full measure the
-    last truncation still lacked.
+
+    Only the schedule's deepest level J = max(schedule) decides, since a
+    shallower clamp covers more atoms: when ``profile.truncate(J)`` has
+    its clamp active at exactly -J, NonStabilized(J, count) is raised if
+    count > 0 atoms sit at or left of its release point.
     """
     full = ma_measure(profile, n)
-    for j in schedule:
-        clamped = profile.truncate(j)
-        kept = ma_measure(clamped, n).atoms
-        if kept and clamped.floor == -float(j):
-            kept = kept[1:]
-        if kept == full.atoms:
-            return RadialMeasure(n, 0.0, full.atoms)
-    raise NonStabilized(j, sum(a not in kept for a in full.atoms))
+    J = max(schedule)
+    clamped = profile.truncate(J)
+    if clamped.floor == -float(J):
+        missing = bisect_right(full.atoms, clamped._floor_edge, key=lambda a: a[0])
+        if missing:
+            raise NonStabilized(J, missing)
+    return RadialMeasure(n, 0.0, full.atoms)
 
 
 @dataclass(frozen=True)

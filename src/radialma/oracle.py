@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CompactTouchesBoundary,
+    GridTooCoarse,
     GridTooLarge,
     NegativeSecondDifference,
     NotConverged,
@@ -126,7 +127,9 @@ def _psor_solve(
 ) -> np.ndarray:
     """Discrete obstacle solution at the grid nodes (shared solver).
 
-    Grids above MAX_GRID_NODES raise GridTooLarge before any sweep.
+    Grids above MAX_GRID_NODES raise GridTooLarge before any sweep, and
+    grids whose first node is not two cells left of the compact's end
+    (too coarse, or starting too far right) raise GridTooCoarse.
     """
     if grid.count + 1 > MAX_GRID_NODES:
         raise GridTooLarge(
@@ -137,7 +140,10 @@ def _psor_solve(
     if abs(grid.right - log_R) > 1e-9 * grid.h:
         raise ValueError("grid must end at log_R (the boundary node)")
     if nodes[0] > K.sup - 2.0 * grid.h:
-        raise ValueError("grid must start left of the compact")
+        raise GridTooCoarse(
+            f"grid starts at {nodes[0]:g}, not two cells of {grid.h:g} left of "
+            f"the compact's end {K.sup:g}"
+        )
     o = _mark_obstacle(K, nodes)
     if o[-1] == -1.0:
         raise CompactTouchesBoundary("obstacle reached the boundary node")

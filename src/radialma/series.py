@@ -9,7 +9,10 @@ rule, on the finite entries:
                           exceed eps0 = 1e-6 * (first value + 1)
   converging-to-zero      tail is nonincreasing and the extrapolated
                           limit (Aitken delta-squared on the last three
-                          values) is below eps0 in absolute value
+                          values) is below eps0 in absolute value, or
+                          the series stabilized exactly: the last three
+                          values are 0.0 even though an earlier bump
+                          keeps the tail from being nonincreasing
   inconclusive            anything else
 
 Aitken's delta-squared is exact for v_j = c + a * rho^i, which is what a
@@ -77,16 +80,18 @@ def decide_flag(values: list[float]) -> tuple[str, dict]:
     )
     meta["tail_nonincreasing"] = nonincreasing
     if not nonincreasing:
-        return INCONCLUSIVE, meta
+        if last3 != [0.0, 0.0, 0.0]:
+            return INCONCLUSIVE, meta
+        meta["limit"] = 0.0
+        meta["reason"] = "last three values are exactly 0"
+        return CONVERGING_TO_ZERO, meta
     limit = _aitken_limit(*finite[-3:])
     meta["limit"] = limit
     # decay-rate estimate from successive tail differences, metadata only
     diffs = [tail[i] - tail[i + 1] for i in range(len(tail) - 1)]
     pos = [d for d in diffs if d > 0.0]
     if len(pos) >= 2:
-        first, last = pos[0], pos[-1]
-        if first > 0 and last > 0 and len(pos) > 1:
-            meta["decay_ratio"] = (last / first) ** (1.0 / (len(pos) - 1))
+        meta["decay_ratio"] = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
     if abs(limit) < eps0:
         return CONVERGING_TO_ZERO, meta
     return INCONCLUSIVE, meta

@@ -229,6 +229,35 @@ def test_bad_float_options_are_usage_errors(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["condition", "--family", "random", "--seed", "-1"],
+        ["truncate-analyze", "--family", "random", "--seed", "-1"],
+        ["weak-converge", "--family", "random", "--seed", "-1"],
+        ["maximality", "--family", "random", "--seed", "-1"],
+        ["membership", "--family", "random", "--seed", "-1"],
+        ["condition", "--seed", "-1"],
+        ["oracle-check", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["usage error: --seed must be >= 0"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_too_coarse_oracle_grid_is_a_usage_error(tmp_path, capsys):
+    # h=10 leaves the 8-cell minimum grid starting right of the compact
+    argv = ["capacity-table", "--with-oracle", "--h", "10", "--j-max", "4"]
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: grid starts at")
+    assert not any(tmp_path.iterdir())
+
+
 def test_main_shares_one_parser_across_calls(tmp_path, capsys):
     first = ["condition", "--family", "powertail", "--j-max", "256"]
 

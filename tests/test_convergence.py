@@ -29,6 +29,7 @@ from radialma import (
     power_tail_profile,
     punctured_battery,
     random_decreasing_sequence,
+    random_profile,
     setwise_gap,
     shifted_sequence,
     sphere,
@@ -258,6 +259,20 @@ def test_liminf_never_undershoots_nonpolar_target(seed):
         for k in (16, 64, 256):
             val = ma_measure(seq.member(k), n).integrate(phi)
             assert val >= target - 1e-9 * (1.0 + target)
+
+
+@pytest.mark.parametrize(
+    "seed, draw, n", [(1, 307, 3), (11, 65, 3), (20, 380, 2), (20, 380, 3)]
+)
+def test_weak_convergence_flags_a_series_that_stabilized_after_a_bump(seed, draw, n):
+    # the plateau@-32 deviations are 0 except a bump late in the
+    # schedule; the series still reaches its target exactly
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        p = random_profile(rng, 0.0)
+    rep = weak_convergence_test(truncation_sequence(p), default_battery(0.0), n)
+    assert rep.flags["plateau@-32"] == CONVERGING_TO_ZERO
+    assert rep.details["implication_respected"] is True
 
 
 def test_report_serialization():

@@ -9,6 +9,7 @@ from radialma import (
     CompactTouchesBoundary,
     EmptyCompact,
     Grid1D,
+    GridTooCoarse,
     GridTooLarge,
     NegativeSecondDifference,
     NotConverged,
@@ -115,6 +116,14 @@ def test_relaxation_reports_nonconvergence():
         relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=3)
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+
+
+def test_too_coarse_grid_is_a_typed_error():
+    # 8 cells over [-1.125, 0] leave no node two cells left of the ball
+    with pytest.raises(GridTooCoarse):
+        oracle_capacity(closed_ball(-1.0), 0.0, 1, h=10.0)
+    with pytest.raises(GridTooCoarse):
+        relaxation_envelope(closed_ball(-1.0), 0.0, Grid1D.from_bounds(-1.1, 0.0, 0.5))
 
 
 def test_oracle_work_is_bounded_before_any_sweep():

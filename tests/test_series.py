@@ -44,6 +44,22 @@ def test_exact_zero_series_flags_zero():
     assert build_series("j", rows).flag == CONVERGING_TO_ZERO
 
 
+def test_exactly_stabilized_series_after_a_late_bump_flags_zero():
+    # plateau@-32 deviations of a converged truncation sequence (seed 1,
+    # draw 307, n = 3): the bump keeps the tail from being nonincreasing
+    devs = [0.0] * 5 + [239.20376654251797, 433.8316495887581, 159.2906345928573]
+    devs += [0.0] * 3
+    s = build_series("k", list(zip(geometric_schedule(1024), devs)))
+    assert s.flag == CONVERGING_TO_ZERO
+    assert s.metadata["tail_nonincreasing"] is False
+    assert s.metadata["limit"] == 0.0
+    assert s.metadata["reason"] == "last three values are exactly 0"
+    # a bump that has not settled exactly stays inconclusive
+    s = build_series("k", list(zip(geometric_schedule(1024), devs[:-1] + [1e-300])))
+    assert s.flag == INCONCLUSIVE
+    assert "reason" not in s.metadata
+
+
 def test_slow_drift_is_inconclusive():
     # decreasing but with a limit far above the zero gate and no
     # stabilized tail: 1 + 1/log2(j)
