@@ -9,8 +9,9 @@ The capacity is the Monge-Ampere mass the extremal profile puts on K.
 For interval unions only the rightmost edge b of K matters: every
 obstacle vertex sits at height -1, so the envelope is -1 on (-inf, b]
 and the chord to (log R, 0) after, and cap(K) = (2*pi / (log R - b))^n.
-``extremal_profile`` builds that one-knot profile directly; property
-tests pin it and the capacity against the closed form.
+``extremal_profile`` builds that one-knot profile directly, and
+``capacity`` returns the closed form itself, which is the extremal
+measure's one atom bit for bit; property tests pin both.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MassOverflow
-from .measures import RadialMeasure, ma_measure
+from .measures import RadialMeasure, _mass, ma_measure
 from .profiles import ConvexProfile, FiniteValue, RadialCompact
 from .series import DiagnosticSeries, build_series, geometric_schedule
 
@@ -56,11 +57,15 @@ def capacity(K: RadialCompact, log_R: float, n: int) -> float:
     """Monge-Ampere capacity of K relative to the ball of radius e^log_R.
 
     The empty set has capacity 0; a compact touching the boundary raises
-    CompactTouchesBoundary.
+    CompactTouchesBoundary.  The value is the mass (2*pi*s)^n of the
+    extremal measure's one atom, s = 1 / (log_R - K.sup), computed as
+    ``ma_measure`` computes it, so it equals ``extremal(...).capacity``
+    bit for bit.
     """
     if K.is_empty:
         return 0.0
-    return extremal(K, log_R, n).capacity
+    K.require_inside(log_R)
+    return _mass(n, 1.0 / (log_R - K.sup))
 
 
 def _condition_series(

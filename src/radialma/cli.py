@@ -32,7 +32,13 @@ from .convergence import (
     truncation_sequence,
     weak_convergence_test,
 )
-from .errors import GridTooCoarse, GridTooLarge, MassOverflow, RadialMAError
+from .errors import (
+    GridTooCoarse,
+    GridTooLarge,
+    MassOverflow,
+    OutOfDomain,
+    RadialMAError,
+)
 from .families import (
     PowerTail,
     default_battery,
@@ -61,6 +67,13 @@ from .series import (
 )
 
 ENV_OUTDIR = "RADIALMA_OUTDIR"
+
+# the oracle checks allow an error of 10*h, which says nothing once it nears 1
+H_MAX = 0.1
+# the scenarios place knots and sample points at log_R minus offsets down
+# to 1e-6 (the spot check of a decreasing sequence); up to 2^32 the float
+# spacing near log_R is at most 2^-20, so all of them stay left of log_R
+LOG_R_MAX = 2.0**32
 
 
 class ScenarioFailure(Exception):
@@ -164,10 +177,11 @@ def _build_family(args):
     if fam == "powertail":
         if not 0.0 < args.alpha < 1.0:
             raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
-        return (
-            power_tail_profile(args.alpha, log_R=log_R),
-            f"powertail({args.alpha:g})",
-        )
+        try:
+            profile = power_tail_profile(args.alpha, log_R=log_R)
+        except OutOfDomain as e:
+            raise UsageError(f"--alpha {args.alpha:g} with --log-R {log_R:g}: {e}") from None
+        return profile, f"powertail({args.alpha:g})"
     if fam == "linearcap":
         return (
             linear_cap_profile(args.a, args.b, log_R),
@@ -675,8 +689,11 @@ def main(argv=None) -> int:
         for nm in ("j_max", "k_max", "count", "envelopes"):
             if getattr(args, nm, 1) < 1:
                 raise UsageError(f"--{nm.replace('_', '-')} must be >= 1")
-        if getattr(args, "h", 1.0) <= 0:
-            raise UsageError("--h must be > 0")
+        h = getattr(args, "h", None)
+        if h is not None and not 0.0 < h < H_MAX:
+            raise UsageError(f"--h must lie in (0, {H_MAX:g}), got {h:g}")
+        if abs(getattr(args, "log_R", 0.0)) > LOG_R_MAX:
+            raise UsageError(f"--log-R must lie in [-2^32, 2^32], got {args.log_R:g}")
         if getattr(args, "seed", 0) < 0:
             raise UsageError("--seed must be >= 0")
     except UsageError as e:

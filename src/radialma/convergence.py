@@ -440,8 +440,16 @@ def maximality_check(
     conclusion = []
     flags = {}
     truncs = [(j, ma_measure(profile.truncate(float(j)), n)) for j in schedule]
+    # the truncations share most atom positions, so each phi is evaluated
+    # once per position; each entry is the fsum RadialMeasure.integrate takes
+    positions = {t for _, mj in truncs for t, _ in mj.atoms}
     for phi in phis:
-        entries = [(j, mj.integrate(phi)) for j, mj in truncs]
+        at = {t: phi.value(t) for t in positions}
+        o = phi.origin_value
+        entries = [
+            (j, math.fsum([mj.origin_mass * o] + [m * at[t] for t, m in mj.atoms]))
+            for j, mj in truncs
+        ]
         s = build_series(
             "j", entries, target=0.0, extra_metadata={"phi": phi.label}
         )

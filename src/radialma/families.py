@@ -7,15 +7,24 @@ convexity check.  ``power_tail_profile`` places its nodes on a
 geometric value ladder so the clamp levels -1, -2, -4, ... of the
 doubling truncation schedule land exactly on nodes and the deepest node
 value is exactly the scheduled bottom.
+
+The default exhaustion and batteries are immutable tuples that every
+harness call asks for, so each is built once per ``log_R`` and shared.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityViolation, MonotonicityViolation, NotConvexOnGrid
+from .errors import (
+    ConvexityViolation,
+    MonotonicityViolation,
+    NotConvexOnGrid,
+    OutOfDomain,
+)
 from .measures import RadialTestFunction, annular_plateau, hat
 from .profiles import (
     ConvexProfile,
@@ -126,6 +135,10 @@ def power_tail_profile(
     at any power-of-two level up to v_max then clamps exactly at a node,
     and the minimum equals -v_max exactly, so the truncation sequence
     stabilizes with zero error once the level passes v_max.
+
+    The knots ignore log_R, so OutOfDomain is raised when the top knot
+    -(2^-6)^(1/alpha) is not left of log_R, and when alpha is so small
+    that the deepest knot -v_max^(1/alpha) is not a float.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
@@ -135,10 +148,20 @@ def power_tail_profile(
         raise ValueError(f"v_max must be a power of two, got {v_max}")
     inv = 1.0 / alpha
     pairs = []
-    for m in range(m_top, -6 * q - 1, -1):
-        v = -(2.0 ** (m / q))
-        t = -((-v) ** inv)
-        pairs.append((t, v))
+    try:
+        for m in range(m_top, -6 * q - 1, -1):
+            v = -(2.0 ** (m / q))
+            t = -((-v) ** inv)
+            pairs.append((t, v))
+    except OverflowError:
+        raise OutOfDomain(
+            f"alpha={alpha:g} puts the deepest knot -{v_max:g}^(1/alpha) "
+            "beyond the float range"
+        ) from None
+    if not pairs[-1][0] < log_R:
+        raise OutOfDomain(
+            f"log_R={log_R:g} is not right of the top knot t={pairs[-1][0]:g}"
+        )
     final = alpha * (-pairs[-1][0]) ** (alpha - 1.0)
     return make_profile(pairs, FiniteValue(pairs[0][1]), final, log_R)
 
@@ -146,6 +169,7 @@ def power_tail_profile(
 # -- compacts and exhaustions ------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def standard_exhaustion(log_R: float = 0.0, count: int = 6) -> tuple[RadialCompact, ...]:
     """Increasing closed balls exhausting the domain."""
     return tuple(closed_ball(log_R - 4.0 * 2.0**-i) for i in range(count))
@@ -234,6 +258,7 @@ def random_profile(
 # -- test function batteries -------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def default_battery(log_R: float = 0.0) -> tuple[RadialTestFunction, ...]:
     """16 test functions at geometric scales below the boundary.
 
@@ -262,6 +287,7 @@ def default_battery(log_R: float = 0.0) -> tuple[RadialTestFunction, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
 def punctured_battery(log_R: float = 0.0) -> tuple[RadialTestFunction, ...]:
     """16 hats vanishing near the origin (support away from 0)."""
     out = []

@@ -108,6 +108,8 @@ class RadialCompact:
     def require_inside(self, log_R: float) -> None:
         """Raise unless the compact is nonempty and ends before log_R:
         only then does it have a relative extremal function."""
+        if math.isnan(log_R):
+            raise OutOfDomain("log_R is NaN")
         if not self.intervals:
             raise EmptyCompact("the relative extremal function needs a nonempty compact")
         if self.sup >= log_R:

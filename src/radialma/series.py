@@ -69,15 +69,14 @@ def decide_flag(values: list[float]) -> tuple[str, dict]:
     meta["eps0"] = eps0
     last3 = finite[-3:]
     spread = max(last3) - min(last3)
-    scale = max(abs(x) for x in last3)
+    scale = max(map(abs, last3))
     if spread <= _REL_AGREE * max(scale, 1e-300) and finite[-1] > eps0:
         meta["limit"] = finite[-1]
         return CONVERGING_TO_POSITIVE, meta
     tail = finite[len(finite) // 2 :]
+    steps = list(zip(tail, tail[1:]))
     slack = 1e-12 * (abs(finite[0]) + 1.0)
-    nonincreasing = all(
-        tail[i + 1] <= tail[i] + slack for i in range(len(tail) - 1)
-    )
+    nonincreasing = all(b <= a + slack for a, b in steps)
     meta["tail_nonincreasing"] = nonincreasing
     if not nonincreasing:
         if last3 != [0.0, 0.0, 0.0]:
@@ -85,11 +84,10 @@ def decide_flag(values: list[float]) -> tuple[str, dict]:
         meta["limit"] = 0.0
         meta["reason"] = "last three values are exactly 0"
         return CONVERGING_TO_ZERO, meta
-    limit = _aitken_limit(*finite[-3:])
+    limit = _aitken_limit(*last3)
     meta["limit"] = limit
-    # decay-rate estimate from successive tail differences, metadata only
-    diffs = [tail[i] - tail[i + 1] for i in range(len(tail) - 1)]
-    pos = [d for d in diffs if d > 0.0]
+    # decay-rate estimate from successive tail decreases, metadata only
+    pos = [a - b for a, b in steps if a > b]
     if len(pos) >= 2:
         meta["decay_ratio"] = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
     if abs(limit) < eps0:
@@ -164,7 +162,7 @@ def build_series(
     (converging-to-zero then means the series reaches the target); the
     raw values are what get stored either way.
     """
-    pairs = tuple((float(j), float(v)) for j, v in entries)
+    pairs = tuple([(float(j), float(v)) for j, v in entries])
     if target is None:
         flagged = [v for _, v in pairs]
     else:

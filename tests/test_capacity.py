@@ -9,6 +9,8 @@ from radialma import (
     CONVERGING_TO_POSITIVE,
     CONVERGING_TO_ZERO,
     EmptyCompact,
+    Grid1D,
+    OutOfDomain,
     annulus,
     capacity,
     closed_ball,
@@ -21,8 +23,10 @@ from radialma import (
     log_profile,
     make_compact,
     max_const_profile,
+    oracle_capacity,
     power_tail_profile,
     random_compact,
+    relaxation_envelope,
     sphere,
 )
 
@@ -82,6 +86,22 @@ def test_degenerate_compacts():
         extremal_profile(closed_ball(0.0), 0.0)
     with pytest.raises(CompactTouchesBoundary):
         extremal_profile(closed_ball(0.5), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: capacity(K, math.nan, 1),
+        lambda K: extremal(K, math.nan, 1),
+        lambda K: oracle_capacity(K, math.nan, 1, h=1e-2),
+        lambda K: relaxation_envelope(K, math.nan, Grid1D.from_bounds(-3.0, 0.0, 1e-2)),
+    ],
+    ids=["capacity", "extremal", "oracle_capacity", "relaxation_envelope"],
+)
+def test_nan_log_R_is_rejected(call):
+    # every comparison with NaN is false, so no boundary check would fire
+    with pytest.raises(OutOfDomain, match="log_R is NaN"):
+        call(closed_ball(-1.0))
 
 
 @pytest.mark.parametrize("seed", range(25))

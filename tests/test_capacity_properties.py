@@ -4,19 +4,23 @@ For a radial compact K inside the ball of radius e^log_R only its
 rightmost point b = K.sup matters: the extremal profile is -1 up to b
 and then the chord to (log_R, 0), so cap_n(K) = (2*pi / (log_R - b))^n.
 These properties check that identity over seeded ``random_compact``
-draws, together with monotonicity of the capacity in K.
+draws, together with monotonicity of the capacity in K, and pin the
+closed-form ``capacity`` to the extremal measure's mass on K.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialma import (
     ConvexProfile,
     FiniteValue,
+    MassOverflow,
     capacity,
     closed_ball,
+    extremal,
     extremal_profile,
     random_compact,
 )
@@ -64,3 +68,23 @@ def test_capacity_is_monotone_under_union(drawn, seed, n):
     bigger = K.union(random_compact(np.random.default_rng(seed), log_R))
     assert K.subset_of(bigger)
     assert capacity(K, log_R, n) <= capacity(bigger, log_R, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=compacts(), n=st.integers(1, 5))
+def test_closed_form_capacity_is_the_extremal_mass_bit_for_bit(drawn, n):
+    K, log_R = drawn
+    assert capacity(K, log_R, n).hex() == extremal(K, log_R, n).capacity.hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(drawn=compacts())
+def test_closed_form_capacity_overflows_like_extremal(drawn):
+    K, log_R = drawn
+    n = 400  # (2*pi)**400 is past the float range
+    with pytest.raises(OverflowError):
+        (2.0 * math.pi) ** n
+    with pytest.raises(MassOverflow):
+        capacity(K, log_R, n)
+    with pytest.raises(MassOverflow):
+        extremal(K, log_R, n)

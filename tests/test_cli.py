@@ -250,12 +250,59 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_too_coarse_oracle_grid_is_a_usage_error(tmp_path, capsys):
-    # h=10 leaves the 8-cell minimum grid starting right of the compact
-    argv = ["capacity-table", "--with-oracle", "--h", "10", "--j-max", "4"]
+    # at h=0.08 the oracle grid's 14 cells of 0.08 chord spans start an
+    # eighth of a span left of the ball, less than two cells
+    argv = ["capacity-table", "--with-oracle", "--h", "0.08", "--j-max", "4"]
     assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: grid starts at")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--h", "10", "--count", "2", "--envelopes", "2"],
+        ["oracle-check", "--h", "0.1", "--count", "2", "--envelopes", "2"],
+        ["capacity-table", "--with-oracle", "--h", "0.5"],
+        ["counterexample", "--h", "0.1"],
+    ],
+    ids=" ".join,
+)
+def test_h_of_a_tenth_or_more_is_a_usage_error(tmp_path, capsys, argv):
+    # the oracle checks' 10*h tolerances pass anything once h nears 0.1
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("usage error:")] == [
+        f"usage error: --h must lie in (0, 0.1), got {argv[argv.index('--h') + 1]}"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["condition", "--log-R", "1e300"],
+        ["condition", "--family", "random", "--log-R=-1e300"],
+        ["weak-converge", "--family", "maxconst", "--log-R", "2e10"],
+        ["condition", "--family", "powertail", "--alpha", "1e-300"],
+        ["condition", "--family", "powertail", "--log-R", "-1"],
+        ["maximality", "--family", "powertail", "--log-R=-0.001"],
+    ],
+    ids=" ".join,
+)
+def test_family_options_outside_their_domain_are_usage_errors(tmp_path, capsys, argv):
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if ln.startswith("usage error:")]) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_powertail_runs_inside_its_log_R_domain(tmp_path, capsys):
+    # the top knot of the alpha = 0.5 ladder sits at -2^-12
+    argv = ["condition", "--family", "powertail", "--log-R=-0.0001"]
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0
 
 
 def test_main_shares_one_parser_across_calls(tmp_path, capsys):

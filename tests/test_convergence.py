@@ -17,6 +17,7 @@ from radialma import (
     counterexample_sequence,
     default_battery,
     generalized_condition,
+    geometric_schedule,
     log_profile,
     ma_domain_membership,
     ma_measure,
@@ -33,6 +34,7 @@ from radialma import (
     setwise_gap,
     shifted_sequence,
     sphere,
+    standard_exhaustion,
     truncation_analysis,
     truncation_sequence,
     weak_convergence_test,
@@ -165,6 +167,53 @@ def test_maximality_series_vanish_for_log():
         assert ser.flag == CONVERGING_TO_ZERO
         assert ser.values[-1] == 0.0  # atom leaves every annular support
     assert rep.battery == tuple(phi.label for phi in punctured_battery(0.0))
+
+
+def _ladder_profiles():
+    """Fixed families plus seeded bounded, unbounded and pre-clamped draws."""
+    out = [
+        pytest.param(log_profile(), id="log"),
+        pytest.param(power_tail_profile(0.5), id="powertail"),
+        pytest.param(max_const_profile(-1.0), id="maxconst"),
+    ]
+    rng = np.random.default_rng(20260)
+    for i in range(4):
+        bounded = random_profile(rng, 0.0, bounded=True, allow_clamp=False)
+        unbounded = random_profile(rng, 0.0, bounded=False, allow_clamp=False)
+        p = random_profile(rng, 0.0, allow_clamp=False)
+        level = 0.5 * float(rng.integers(1, 9))
+        while not -level > p.left_value:
+            level /= 2.0
+        out += [
+            pytest.param(bounded, id=f"bounded{i}"),
+            pytest.param(unbounded, id=f"unbounded{i}"),
+            pytest.param(p.truncate(level), id=f"clamped{i}"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("profile", _ladder_profiles())
+def test_maximality_entries_match_the_per_measure_pairing(profile, n):
+    # reference: one full pairing per truncated measure and test function
+    rep = maximality_check(profile, n)
+    phis = punctured_battery(profile.log_R)
+    assert len(rep.conclusion_series) == len(phis)
+    for ser, phi in zip(rep.conclusion_series, phis):
+        want = [
+            (float(j), ma_measure(profile.truncate(float(j)), n).integrate(phi))
+            for j in geometric_schedule()
+        ]
+        assert [(j, v.hex()) for j, v in ser.entries] == [
+            (j, v.hex()) for j, v in want
+        ]
+
+
+def test_default_battery_and_exhaustion_are_built_once_per_log_R():
+    for build in (default_battery, punctured_battery, standard_exhaustion):
+        assert build(0.0) is build(0.0)
+        assert build(1.0) is not build(0.0)
+        assert build(1.0) == build.__wrapped__(1.0)
 
 
 def test_membership_verdicts():
