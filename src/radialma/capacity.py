@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MassOverflow
-from .measures import RadialMeasure, _mass, ma_measure
+from .measures import RadialMeasure, _check_dimension, _mass, ma_measure
 from .profiles import ConvexProfile, FiniteValue, RadialCompact
 from .series import DiagnosticSeries, build_series, geometric_schedule
 
@@ -62,6 +62,7 @@ def capacity(K: RadialCompact, log_R: float, n: int) -> float:
     ``ma_measure`` computes it, so it equals ``extremal(...).capacity``
     bit for bit.
     """
+    _check_dimension(n)
     if K.is_empty:
         return 0.0
     K.require_inside(log_R)
@@ -76,6 +77,7 @@ def _condition_series(
 ) -> DiagnosticSeries:
     """j^n * cap_n(set_at_level(-j)) over the schedule (by default
     ``geometric_schedule()``), inf where the set fills the ball."""
+    _check_dimension(n)
     entries = []
     touched = 0
     for j in geometric_schedule() if schedule is None else schedule:

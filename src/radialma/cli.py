@@ -354,10 +354,11 @@ _EXPECTED = {
 }
 
 
-def _check_expected(args, tag, what, got, series):
-    """Require the family's expected flag or verdict for this scenario;
-    returns it, or None when the family has none."""
-    expected = _EXPECTED.get(args.family, {}).get(args.command)
+def _check_expected(args, tag, what, got, series, expected=None):
+    """Require ``expected``, by default the family's expected flag or
+    verdict for this scenario; returns it, or None when there is none."""
+    if expected is None:
+        expected = _EXPECTED.get(args.family, {}).get(args.command)
     if expected is not None:
         _require(
             got == expected,
@@ -466,9 +467,10 @@ def scenario_maximality(args):
     for s in report.conclusion_series:
         for j, v in zip(s.indices, s.values):
             rows.append((s.metadata["phi"], int(j), v))
-    # a linearcap profile with zero slope is constant and has zero measure
-    if not (args.family == "linearcap" and profile.final_slope == 0.0):
-        _check_expected(args, tag, "verdict", report.verdict, report.conclusion_series[:2])
+    # a profile with zero final slope is constant and has zero measure,
+    # whatever its family (linearcap --a 0, maxconst with c >= log_R)
+    constant = "maximal-off-origin" if profile.final_slope == 0.0 else None
+    _check_expected(args, tag, "verdict", report.verdict, report.conclusion_series[:2], constant)
     meta = {
         "profile": tag,
         "n": args.n,

@@ -28,6 +28,11 @@ TWO_PI = 2.0 * math.pi
 NP_SCHEDULE: tuple[int, ...] = tuple(2**k for k in range(21))
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class RadialMeasure:
     """Purely atomic radial measure: an origin mass plus sphere atoms.
@@ -41,8 +46,7 @@ class RadialMeasure:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension n must be >= 1, got {self.n}")
+        _check_dimension(self.n)
         if not self.origin_mass >= 0.0:
             raise ValueError(f"origin mass must be >= 0, got {self.origin_mass}")
         prev = NEG_INF
@@ -149,8 +153,7 @@ def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     clamp.  Raises MassOverflow when (2*pi)^n or a mass is not a finite
     float.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    _check_dimension(n)
     positions, atoms = _knot_atoms(profile, n)
     if profile.floor == NEG_INF:
         return RadialMeasure(n, _mass(n, profile.left_slope), atoms)

@@ -237,6 +237,8 @@ def oracle_capacity(
     contact node, and the capacity is (2*pi*slope)^n.  The empty set has
     capacity 0.
     """
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
     if K.is_empty:
         return 0.0
     K.require_inside(log_R)

@@ -53,6 +53,12 @@ def _check_floor(floor: float) -> None:
         raise ValueError("floor must be a float or -inf")
 
 
+def _out_of_domain(t: float, log_R: float) -> OutOfDomain:
+    if math.isnan(t):
+        return OutOfDomain("t is NaN")
+    return OutOfDomain(f"t={t} >= log_R={log_R}")
+
+
 @dataclass(frozen=True)
 class FiniteValue:
     """Left tail is constant: chi(t) = value for all t <= first breakpoint."""
@@ -196,7 +202,11 @@ class ConvexProfile:
     of -inf means no clamp is active.  Instances are immutable and safe
     to share across threads: their lazily filled caches depend only on
     the formula, and clamped copies share them with the profile they
-    were clamped from.
+    were clamped from.  The point evaluator ``value`` is the one
+    exception: it is built once per instance, over that instance's own
+    clamp, and a clamped copy builds its own instead of sharing it.
+    Two threads evaluating a fresh profile at once may both build it;
+    the two evaluators are equal, and one of them is kept.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -390,35 +400,47 @@ class ConvexProfile:
         """lim chi(t) as t -> log_R from the left."""
         return max(self._formula_boundary_limit(), self.floor)
 
-    def _out_of_domain(self, t: float) -> OutOfDomain:
-        if math.isnan(t):
-            return OutOfDomain("t is NaN")
-        return OutOfDomain(f"t={t} >= log_R={self.log_R}")
-
-    def value(self, t: float) -> float:
+    @cached_property
+    def value(self):
         """Evaluate chi(t).  Accepts t = -inf; raises OutOfDomain at log_R
         and for NaN.
 
-        The same floats as max(self._formula_value(t), self.floor),
-        computed in one frame: the chord slope comes from ``_slopes``
-        instead of a per-call division, and the clamp is the comparison
-        ``max`` makes.
+        ``p.value`` is this profile's own evaluator, a closure built on
+        first use over the knot tuples, the end knots and slopes, and
+        the clamp, held in plain locals.  It gives the same floats as max(p._formula_value(t),
+        p.floor): the chord slope comes from ``_slopes`` instead of a
+        per-call division, and the clamp is the comparison ``max``
+        makes.  It holds no reference to the profile, so an evaluated
+        profile is freed as soon as its last reference goes.
         """
-        if not t < self.log_R:
-            raise self._out_of_domain(t)
         ts, vs, slopes = self._ts, self._vs, self._slopes
-        if t <= ts[0]:
-            s = slopes[0]
-            # a zero tail slope means a FiniteValue tail, whose own value
-            # is returned (it may differ from vs[0] in the sign of zero)
-            x = vs[0] + s * (t - ts[0]) if s else self.tail.value
-        elif t >= ts[-1]:
-            x = vs[-1] + slopes[-1] * (t - ts[-1])
-        else:
-            i = bisect_right(ts, t)
-            x = vs[i - 1] + slopes[i] * (t - ts[i - 1])
-        floor = self.floor
-        return floor if floor > x else x
+        log_R, floor = self.log_R, self.floor
+        t0, v0, s0 = ts[0], vs[0], slopes[0]
+        t1, v1, s1 = ts[-1], vs[-1], slopes[-1]
+        # a zero tail slope means a FiniteValue tail, whose own value is
+        # returned (it may differ from v0 in the sign of zero)
+        left = None if s0 else self.tail.value
+
+        def value(t: float) -> float:
+            if not t < log_R:
+                raise _out_of_domain(t, log_R)
+            if t <= t0:
+                x = v0 + s0 * (t - t0) if s0 else left
+            elif t >= t1:
+                x = v1 + s1 * (t - t1)
+            else:
+                i = bisect_right(ts, t)
+                x = vs[i - 1] + slopes[i] * (t - ts[i - 1])
+            return floor if floor > x else x
+
+        return value
+
+    def __getstate__(self) -> dict:
+        # the evaluator is a closure, which does not pickle; a copy or an
+        # unpickled profile builds its own on first use
+        state = dict(vars(self))
+        state.pop("value", None)
+        return state
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of t < log_R; NaN is rejected."""
@@ -446,7 +468,7 @@ class ConvexProfile:
     def right_slope(self, t: float) -> float:
         """One-sided derivative chi'(t+).  At -inf returns the tail slope."""
         if not t < self.log_R:
-            raise self._out_of_domain(t)
+            raise _out_of_domain(t, self.log_R)
         if self.floor != NEG_INF and t < self._floor_edge:
             return 0.0
         if t == NEG_INF:
@@ -576,10 +598,18 @@ class ConvexProfile:
         return ConvexProfile(tuple(stack), tail, final_slope, log_R)
 
     def max_with_affine(self, slope: float, intercept: float) -> "ConvexProfile":
-        """max(chi, slope*t + intercept) for slope >= 0; still convex."""
+        """max(chi, slope*t + intercept) for slope >= 0; still convex.
+
+        An intercept of -inf is the line that is -inf everywhere, so the
+        profile comes back unchanged.
+        """
+        if not math.isfinite(slope):
+            raise ValueError("affine slope must be finite")
+        if not intercept < math.inf:
+            raise ValueError("affine intercept must be finite or -inf")
         if slope < 0.0:
             raise MonotonicityViolation("affine minorant must have slope >= 0")
-        if slope == 0.0:
+        if slope == 0.0 or intercept == NEG_INF:
             return self._max_with_constant(intercept)
 
         def line(t: float) -> float:

@@ -104,6 +104,22 @@ def test_nan_log_R_is_rejected(call):
         call(closed_ball(-1.0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: capacity(closed_ball(-2.0), 0.0, 0),
+        lambda: capacity(empty_compact(), 0.0, 0),
+        lambda: condition_sublevel(log_profile(), 0),
+        lambda: condition_level(log_profile(), -1),
+        lambda: oracle_capacity(closed_ball(-2.0), 0.0, 0, h=1e-2),
+    ],
+    ids=["capacity", "capacity-empty", "condition_sublevel", "condition_level", "oracle_capacity"],
+)
+def test_dimension_below_one_is_rejected(call):
+    with pytest.raises(ValueError, match=r"dimension n must be >= 1, got (0|-1)$"):
+        call()
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_extremal_profile_is_admissible(seed):
     rng = np.random.default_rng(12_000 + seed)

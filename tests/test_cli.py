@@ -299,6 +299,24 @@ def test_family_options_outside_their_domain_are_usage_errors(tmp_path, capsys, 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "maxconst", "--log-R", "-1"],
+        ["--family", "maxconst", "--log-R", "-2"],
+        ["--family", "linearcap", "--a", "0"],
+    ],
+    ids=" ".join,
+)
+def test_constant_profile_is_maximal_off_the_origin(tmp_path, capsys, argv):
+    # max(log r, -1) is constant on a ball of log radius <= -1, and so is
+    # linearcap with zero slope: zero measure, whatever the family expects
+    assert cli.main(["--output-dir", str(tmp_path), "maximality", *argv]) == 0
+    result = json.loads((tmp_path / "maximality.meta.json").read_text())["result"]
+    assert result["verdict"] == "maximal-off-origin"
+    assert result["np_total_mass"] == 0.0
+
+
 def test_powertail_runs_inside_its_log_R_domain(tmp_path, capsys):
     # the top knot of the alpha = 0.5 ladder sits at -2^-12
     argv = ["condition", "--family", "powertail", "--log-R=-0.0001"]

@@ -102,6 +102,28 @@ def test_clamp_level_must_be_a_float_below_inf():
     assert p.max_with_affine(0.0, NEG_INF) is p
 
 
+@pytest.mark.parametrize(
+    "slope, intercept, what",
+    [
+        (math.nan, 0.0, "slope"),
+        (math.inf, 0.0, "slope"),
+        (-math.inf, 0.0, "slope"),
+        (1.0, math.nan, "intercept"),
+        (1.0, math.inf, "intercept"),
+        (0.0, math.nan, "intercept"),
+    ],
+)
+def test_max_with_affine_rejects_non_finite_input(slope, intercept, what):
+    with pytest.raises(ValueError, match=f"affine {what} must be finite"):
+        log_profile().max_with_affine(slope, intercept)
+
+
+def test_max_with_affine_with_minus_inf_intercept_is_the_identity():
+    p = log_profile()
+    assert p.max_with_affine(1.0, NEG_INF) is p
+    assert p.max_with_affine(2.0, NEG_INF) is p
+
+
 def test_truncate_log():
     p = log_profile()
     q = p.truncate(2.0)

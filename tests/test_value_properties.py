@@ -7,8 +7,12 @@ the formula clamped by the builtin ``max``, and a chord slope divided
 out per call.  Results are compared as bit patterns, so 0.0 and -0.0
 count as different.
 """
+import copy
+import gc
 import math
+import pickle
 import struct
+import weakref
 from bisect import bisect_right
 
 import numpy as np
@@ -140,3 +144,48 @@ def test_radial_test_function_rejects_nan_and_points_past_log_R():
         phi.value(math.nan)
     with pytest.raises(OutOfDomain, match="log_R"):
         phi.value(math.nextafter(phi.log_R, math.inf))
+
+
+# -- the per-instance evaluator ---------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=profiles(), j=st.sampled_from(SCHEDULE), c=st.floats(-4.0, 0.0))
+def test_clamped_copy_of_an_evaluated_profile_builds_its_own_evaluator(p, j, c):
+    # the parent's evaluator exists before the copies are made, so a copy
+    # that reused it would evaluate with the parent's clamp
+    p.value(p._ts[0])
+    for q in (p.truncate(float(j)), p.max_with_affine(0.0, c)):
+        for t in probe_points(q._ts, q.log_R, q._floor_edge):
+            assert bits(q.value(t)) == bits(max(q._formula_value(t), q.floor)), t
+
+
+def test_evaluated_profile_is_freed_without_the_cycle_collector():
+    # an evaluator that referred to its profile would form a cycle, which
+    # only the cycle collector frees
+    gc.disable()
+    try:
+        for build in (
+            lambda: make_profile([(-2.0, -1.5), (-1.0, -1.0)], FiniteValue(-1.5), 1.0),
+            lambda: random_profile(np.random.default_rng(7), 0.0).truncate(2.0),
+        ):
+            p = build()
+            p.value(-1.5)
+            ref = weakref.ref(p)
+            del p
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [log_profile(), log_profile().truncate(4.0), power_tail_profile(0.5).truncate(16.0)]
+    + signed_zero_profiles(),
+)
+def test_evaluated_profile_pickles_and_copies(p):
+    pts = probe_points(p._ts, p.log_R, p._floor_edge)
+    before = [bits(p.value(t)) for t in pts]
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p)):
+        assert q == p
+        assert [bits(q.value(t)) for t in pts] == before
