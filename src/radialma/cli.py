@@ -352,12 +352,18 @@ _EXPECTED = {
     "powertail": _HOLDS,
     "linearcap": _HOLDS,
 }
+# j^n cap({u <= -j}) of the log family approaches (2*pi)^n only like
+# (j / (j + log_R))^n, so its positive flag and verdict are exact only at
+# log_R = 0; elsewhere they are reported, not required
+_LOG_R_ZERO_ONLY = ("condition", "membership")
 
 
 def _check_expected(args, tag, what, got, series, expected=None):
     """Require ``expected``, by default the family's expected flag or
     verdict for this scenario; returns it, or None when there is none."""
-    if expected is None:
+    if expected is None and not (
+        args.family == "log" and args.log_R != 0.0 and args.command in _LOG_R_ZERO_ONLY
+    ):
         expected = _EXPECTED.get(args.family, {}).get(args.command)
     if expected is not None:
         _require(

@@ -29,8 +29,10 @@ NP_SCHEDULE: tuple[int, ...] = tuple(2**k for k in range(21))
 
 
 def _check_dimension(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    # one test on the hot path; a bool or a float fails it too
+    if type(n) is not int or n < 1:
+        what = ">= 1" if type(n) is int else "an integer"
+        raise ValueError(f"dimension n must be {what}, got {n!r}")
 
 
 @dataclass(frozen=True)

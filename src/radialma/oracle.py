@@ -36,6 +36,11 @@ MAX_GRID_NODES = 20_000
 SWEEP_TOL = 1e-11
 
 
+def _check_spacing(h: float) -> None:
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"grid spacing must be finite and positive, got {h}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid left, left + h, ..., left + count * h."""
@@ -45,8 +50,7 @@ class Grid1D:
     count: int
 
     def __post_init__(self) -> None:
-        if not self.h > 0.0:
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
+        _check_spacing(self.h)
         if self.count < 8:
             raise ValueError(f"need at least 8 cells, got {self.count}")
 
@@ -58,6 +62,7 @@ class Grid1D:
         """
         if not b > a:
             raise ValueError(f"need a < b, got [{a}, {b}]")
+        _check_spacing(h)
         count = max(8, round((b - a) / h))
         return cls(a, (b - a) / count, count)
 
@@ -127,6 +132,13 @@ def _psor_solve(
 ) -> np.ndarray:
     """Discrete obstacle solution at the grid nodes (shared solver).
 
+    Each red-black half-sweep updates one colour in place through strided
+    views of the node values, with buffers allocated once per solve.  It
+    performs the update min(ob, v + omega * (0.5 * (l + r) - v))
+    one IEEE operation at a time in that order, so the iterates, the
+    stopping sweep and the NotConverged residual are the same floats as
+    gathering each colour through index arrays.
+
     Grids above MAX_GRID_NODES raise GridTooLarge before any sweep, and
     grids whose first node is not two cells left of the compact's end
     (too coarse, or starting too far right) raise GridTooCoarse.
@@ -155,22 +167,36 @@ def _psor_solve(
     omega = 2.0 / (1.0 + math.sin(math.pi / m))
     if max_sweeps is None:
         max_sweeps = 40 * m + 2000
-    odd = np.arange(1, m, 2)
-    even = np.arange(2, m, 2)
+    # red-black colours as strided views of v and ob: the nodes, their left
+    # and right neighbours, the obstacle, a candidate buffer, and the
+    # colour's part of one difference buffer; buffers are allocated once
+    odd, even = v[1:m:2], v[2:m:2]
+    diff = np.empty(m - 1)
+    colours = (
+        (odd, v[0 : m - 1 : 2], v[2 : m + 1 : 2], ob[1:m:2],
+         np.empty(odd.size), diff[: odd.size]),
+        (even, v[1 : m - 1 : 2], v[3 : m + 1 : 2], ob[2:m:2],
+         np.empty(even.size), diff[odd.size :]),
+    )
+    ob0 = ob.item(0)
     delta = math.inf
     for _ in range(max_sweeps):
-        delta = 0.0
-        for idx in (odd, even):
-            old = v[idx]
-            cand = old + omega * (0.5 * (v[idx - 1] + v[idx + 1]) - old)
-            new = np.minimum(ob[idx], cand)
-            if idx.size:
-                delta = max(delta, float(np.max(np.abs(new - old))))
-            v[idx] = new
+        for cur, left, right, obs, buf, part in colours:
+            # min(obs, cur + omega * (0.5 * (left + right) - cur)), unreassociated
+            np.add(left, right, out=buf)
+            buf *= 0.5
+            buf -= cur
+            buf *= omega
+            buf += cur
+            np.minimum(obs, buf, out=buf)
+            np.subtract(buf, cur, out=part)
+            cur[...] = buf
         # left endpoint: flat (Neumann) extension
-        new0 = min(ob[0], v[0] + omega * 0.5 * (v[1] - v[0]))
-        delta = max(delta, abs(new0 - v[0]))
+        a0 = v.item(0)
+        new0 = min(ob0, a0 + omega * 0.5 * (v.item(1) - a0))
         v[0] = new0
+        np.abs(diff, out=diff)
+        delta = max(float(diff.max()), abs(new0 - a0))
         if delta <= SWEEP_TOL:
             break
     else:
@@ -191,7 +217,9 @@ def relaxation_envelope(
     envelope of the obstacle (-1 on K, 0 at the boundary node) and
     discretely convex, sweeping red-black with the optimal
     overrelaxation factor 2 / (1 + sin(pi / cells)) until a full sweep
-    moves no node by more than SWEEP_TOL.  ``max_sweeps`` (default
+    moves no node by more than SWEEP_TOL.  Each colour is updated in
+    place on strided views of the node values, with the floats of the
+    plain gather-and-scatter sweep.  ``max_sweeps`` (default
     40 * cells + 2000) bounds the sweeps; NotConverged when it runs out.
     The fixed point is thinned to its slope-jump knots and returned as
     a profile.
@@ -235,10 +263,13 @@ def oracle_capacity(
     log_R - K.sup, so the relative error stays O(h) uniformly in the
     depth of K.  The slope is read off the discrete envelope at the last
     contact node, and the capacity is (2*pi*slope)^n.  The empty set has
-    capacity 0.
+    capacity 0.  A dimension n that is not an int of at least 1, or a
+    spacing h that is not finite and positive, raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        what = ">= 1" if type(n) is int else "an integer"
+        raise ValueError(f"dimension n must be {what}, got {n!r}")
+    _check_spacing(h)
     if K.is_empty:
         return 0.0
     K.require_inside(log_R)

@@ -11,6 +11,7 @@ from radialma import (
     EmptyCompact,
     Grid1D,
     OutOfDomain,
+    RadialMeasure,
     annulus,
     capacity,
     closed_ball,
@@ -21,6 +22,7 @@ from radialma import (
     extremal,
     extremal_profile,
     log_profile,
+    ma_measure,
     make_compact,
     max_const_profile,
     oracle_capacity,
@@ -118,6 +120,29 @@ def test_nan_log_R_is_rejected(call):
 def test_dimension_below_one_is_rejected(call):
     with pytest.raises(ValueError, match=r"dimension n must be >= 1, got (0|-1)$"):
         call()
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: capacity(closed_ball(-1.0), 0.0, n),
+        lambda n: capacity(empty_compact(), 0.0, n),
+        lambda n: condition_sublevel(log_profile(), n),
+        lambda n: condition_level(log_profile(), n),
+        lambda n: ma_measure(log_profile(), n),
+        lambda n: RadialMeasure(n, 0.0, ()),
+        lambda n: oracle_capacity(closed_ball(-1.0), 0.0, n, h=1e-2),
+    ],
+    ids=[
+        "capacity", "capacity-empty", "condition_sublevel", "condition_level",
+        "ma_measure", "RadialMeasure", "oracle_capacity",
+    ],
+)
+def test_dimension_must_be_an_integer(call, n):
+    # (2*pi)^1.5 is a number, so a float dimension would pass unnoticed
+    with pytest.raises(ValueError, match=rf"dimension n must be an integer, got {n!r}$"):
+        call(n)
 
 
 @pytest.mark.parametrize("seed", range(25))

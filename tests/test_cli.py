@@ -317,6 +317,25 @@ def test_constant_profile_is_maximal_off_the_origin(tmp_path, capsys, argv):
     assert result["np_total_mass"] == 0.0
 
 
+@pytest.mark.parametrize("log_R", ["0", "0.5", "-0.5"])
+def test_log_family_expectation_is_required_only_at_log_R_zero(tmp_path, capsys, log_R):
+    # j^n cap({u <= -j}) reaches (2*pi)^n only like (j / (j + log_R))^n,
+    # so the positive flag is required at log_R = 0 and reported elsewhere
+    result = {}
+    for scenario in ("condition", "membership"):
+        argv = [scenario, "--family", "log", f"--log-R={log_R}"]
+        assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0
+        meta = json.loads((tmp_path / f"{scenario}.meta.json").read_text())
+        result[scenario] = meta["result"]
+    cond, member = result["condition"], result["membership"]
+    if log_R == "0":
+        assert cond["expected_flag"] == cond["flag"] == "converging-to-positive"
+        assert member["verdict"] == "hypothesis-positive-no-verdict"
+    else:
+        assert cond["expected_flag"] is None
+        assert cond["flag"] == member["hypothesis_flag"] == "inconclusive"
+
+
 def test_powertail_runs_inside_its_log_R_domain(tmp_path, capsys):
     # the top knot of the alpha = 0.5 ladder sits at -2^-12
     argv = ["condition", "--family", "powertail", "--log-R=-0.0001"]

@@ -1,5 +1,6 @@
 """Finite-difference and relaxation oracles against the exact modules."""
 import math
+import re
 import time
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_grid_construction():
         Grid1D(-1.0, 0.1, 4)
     with pytest.raises(ValueError):
         Grid1D(-1.0, -0.1, 16)
+
+
+@pytest.mark.parametrize("h", [math.nan, 0.0, -0.01, math.inf], ids=repr)
+def test_grid_spacing_must_be_finite_and_positive(h):
+    # nan reached round(), 0 divided by zero, -0.01 and inf gave 8 cells
+    msg = rf"grid spacing must be finite and positive, got {re.escape(repr(h))}$"
+    with pytest.raises(ValueError, match=msg):
+        oracle_capacity(closed_ball(-1.0), 0.0, 1, h=h)
+    with pytest.raises(ValueError, match=msg):
+        relaxation_envelope(closed_ball(-1.0), 0.0, Grid1D.from_bounds(-2.0, 0.0, h))
+    with pytest.raises(ValueError, match=msg):
+        Grid1D(-2.0, h, 16)
 
 
 def test_fd_total_mass_telescopes():
