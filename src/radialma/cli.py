@@ -12,12 +12,12 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import platform
 import sys
-import tempfile
 
 import numpy as np
 
@@ -114,9 +114,24 @@ def _jsonable(obj):
     return obj
 
 
+_TMP_IDS = itertools.count()
+
+
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename.
+
+    The temporary file is created with mode 0o666, so the umask gives the
+    written file the mode that open() would give it; its name is unique
+    per process and call, and O_EXCL refuses a leftover of the same name.
+    """
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.getpid()}-{next(_TMP_IDS)}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        break
     try:
         with os.fdopen(fd, "w", newline="") as f:
             f.write(text)

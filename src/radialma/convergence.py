@@ -11,6 +11,7 @@ while the truncated measures still converge).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,8 +26,9 @@ from .families import (
     standard_exhaustion,
 )
 from .measures import (
-    RadialMeasure,
     RadialTestFunction,
+    _knot_atoms,
+    _truncation_ladder,
     ma_measure,
     nonpolar_part,
 )
@@ -194,51 +196,6 @@ class HarnessReport:
         }
 
 
-def _classify_on(
-    profile: ConvexProfile,
-    clamped: ConvexProfile,
-    measure: RadialMeasure,
-    K: RadialCompact,
-    j: float,
-) -> tuple[list[float], list[float], list[float]]:
-    """Split the measure's mass on K into {u > -j}, {u = -j}, {u < -j}.
-
-    The atom released by the truncation clamp is identified structurally
-    (first atom of the measure, present when the clamp is active at
-    level -j exactly), so no float comparison of interpolated values is
-    involved.  A profile carrying a deeper clamp of its own keeps its
-    release atom classified by value: it lies inside {u > -j}.
-    """
-    release_t = None
-    if measure.atoms and clamped.floor == -j:
-        release_t = measure.atoms[0][0]
-    interior: list[float] = []
-    level: list[float] = []
-    below: list[float] = []
-    if measure.origin_mass != 0.0 and K.contains_origin:
-        lv = profile.left_value
-        if lv > -j:
-            interior.append(measure.origin_mass)
-        elif lv == -j:
-            level.append(measure.origin_mass)
-        else:
-            below.append(measure.origin_mass)
-    for t, m in measure.atoms:
-        if not K.contains(t):
-            continue
-        if t == release_t:
-            level.append(m)
-            continue
-        v = profile.value(t)
-        if v > -j:
-            interior.append(m)
-        elif v == -j:
-            level.append(m)
-        else:
-            below.append(m)
-    return interior, level, below
-
-
 def truncation_analysis(
     profile: ConvexProfile,
     K: RadialCompact,
@@ -252,22 +209,51 @@ def truncation_analysis(
     {u = -j}, flagged as a mass series.  Each truncated measure is
     asserted to charge nothing below -j, so its total on K is exactly
     interior + level.
+
+    The levels come from ``_truncation_ladder``, so no clamped copy or
+    measure is built.  A knot atom's value and membership in K do not
+    depend on j and are computed once; each level then splits the atoms
+    it keeps against -j.  The atom released by the clamp is identified
+    structurally (``level`` exactly when the clamp sits at -j), so no
+    float comparison of interpolated values is involved; a profile
+    carrying a deeper clamp of its own keeps its release atom classified
+    by value: it lies inside {u > -j}.
     """
     if schedule is None:
         schedule = geometric_schedule()
     np_m = nonpolar_part(profile, n)
     np_mass = np_m.mass_on(K)
+    _, atoms = _knot_atoms(profile, n)
+    # indices, masses and values of the knot atoms inside K
+    on_K = [i for i, (t, _) in enumerate(atoms) if K.contains(t)]
+    marked = [(atoms[i][1], profile.value(atoms[i][0])) for i in on_K]
     rows_total: list[tuple[float, float]] = []
     rows_level: list[tuple[float, float]] = []
     rows_interior: list[tuple[float, float]] = []
-    for j in schedule:
-        clamped = profile.truncate(float(j))
-        measure = ma_measure(clamped, n)
-        interior, level, below = _classify_on(profile, clamped, measure, K, j)
-        below_mass = math.fsum(below)
-        if below_mass != 0.0:
+    for j, clamp, origin, release, start in _truncation_ladder(profile, n, schedule):
+        s = -j
+        interior: list[float] = []
+        level: list[float] = []
+        below: list[float] = []
+        extra = []  # the origin and the release atom, when classified by value
+        if origin != 0.0 and K.contains_origin:
+            extra.append((origin, profile.left_value))
+        if release is not None and K.contains(release[0]):
+            t, m = release
+            if clamp == s:
+                level.append(m)
+            else:
+                extra.append((m, profile.value(t)))
+        for m, v in extra + marked[bisect_left(on_K, start) :]:
+            if v > s:
+                interior.append(m)
+            elif v == s:
+                level.append(m)
+            else:
+                below.append(m)
+        if below:  # every atom mass is positive
             raise AssertionError(
-                f"truncated measure charged {{u < -{j}}}: {below_mass}"
+                f"truncated measure charged {{u < -{j}}}: {math.fsum(below)}"
             )
         rows_total.append((j, float(math.fsum(interior + level))))
         rows_level.append((j, float(math.fsum(level))))
@@ -426,6 +412,12 @@ def maximality_check(
     the truncated measures integrate to 0 against test functions
     supported off the origin; the level-set capacity condition is
     reported as the hypothesis series.
+
+    The truncated measures are read from ``_truncation_ladder``, so no
+    clamped copy or measure is built.  Every level keeps a suffix of the
+    knot atoms, so each phi is evaluated once per knot atom some level
+    keeps and once per release atom; each entry is the fsum ``RadialMeasure.integrate``
+    takes over the same terms, hence the same float.
     """
     if schedule is None:
         schedule = geometric_schedule()
@@ -439,17 +431,20 @@ def maximality_check(
     hypothesis = condition_level(profile, n, schedule)
     conclusion = []
     flags = {}
-    truncs = [(j, ma_measure(profile.truncate(float(j)), n)) for j in schedule]
-    # the truncations share most atom positions, so each phi is evaluated
-    # once per position; each entry is the fsum RadialMeasure.integrate takes
-    positions = {t for _, mj in truncs for t, _ in mj.atoms}
+    _, atoms = _knot_atoms(profile, n)
+    levels = list(_truncation_ladder(profile, n, schedule))
+    # fsum's exact rounding does not depend on the order of the terms
+    lo = min((start for *_, start in levels), default=len(atoms))
     for phi in phis:
-        at = {t: phi.value(t) for t in positions}
         o = phi.origin_value
-        entries = [
-            (j, math.fsum([mj.origin_mass * o] + [m * at[t] for t, m in mj.atoms]))
-            for j, mj in truncs
-        ]
+        prods = [m * phi.value(t) for t, m in atoms[lo:]]
+        entries = []
+        for j, _, origin, release, start in levels:
+            terms = [origin * o]
+            if release is not None:
+                t, m = release
+                terms.append(m * phi.value(t))
+            entries.append((j, math.fsum(terms + prods[start - lo :])))
         s = build_series(
             "j", entries, target=0.0, extra_metadata={"phi": phi.label}
         )
@@ -533,10 +528,11 @@ def cegrell_f_diagnostic(
         raise NotAdmissible(
             f"boundary limit {bl} is not 0; not a candidate for class F"
         )
-    entries = [
-        (j, ma_measure(profile.truncate(float(j)), n).total_mass)
-        for j in schedule
-    ]
+    masses = [m for _, m in _knot_atoms(profile, n)[1]]
+    entries = []
+    for j, _, origin, release, start in _truncation_ladder(profile, n, schedule):
+        terms = [origin] if release is None else [origin, release[1]]
+        entries.append((j, math.fsum(terms + masses[start:])))
     s = build_series("j", entries, extra_metadata={"series": "total_mass"})
     sup_mass = max(v for _, v in entries)
     return HarnessReport(

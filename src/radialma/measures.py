@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MassOverflow, NonStabilized, OutOfDomain
-from .profiles import ConvexProfile, MinusInfinity, RadialCompact, NEG_INF
+from .profiles import ConvexProfile, RadialCompact, NEG_INF, _check_level
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,6 +144,23 @@ def _knot_atoms(
     return table
 
 
+def _release(
+    profile: ConvexProfile, n: int, edge: float, positions: Sequence[float]
+) -> tuple[tuple[float, float] | None, int]:
+    """The atom of a clamp releasing at ``edge`` and the index of the
+    first knot atom right of it.
+
+    The atom is (edge, (2*pi*sigma)^n) with sigma the formula slope
+    there; a clamp that covers the whole ball releases nothing and keeps
+    no knot atom: (None, len(positions)).
+    """
+    if edge >= profile.log_R:
+        return None, len(positions)
+    sigma = profile._formula_right_slope(edge)
+    assert sigma > 0.0, "clamp release point must have rising formula"
+    return (edge, _mass(n, sigma)), bisect_right(positions, edge)
+
+
 def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     """Monge-Ampere measure (dd^c u)^n of u = chi(log ||z||) on the ball.
 
@@ -152,22 +169,52 @@ def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     flat part contributes nothing; the clamp release point carries the
     atom (2*pi*sigma)^n with sigma the formula slope there, and every
     knot right of it keeps the float-identical mass it has without the
-    clamp.  Raises MassOverflow when (2*pi)^n or a mass is not a finite
+    clamp.  The harnesses read the same data for a whole truncation
+    schedule from ``_truncation_ladder``, which shares the release-atom
+    code.  Raises MassOverflow when (2*pi)^n or a mass is not a finite
     float.
     """
     _check_dimension(n)
     positions, atoms = _knot_atoms(profile, n)
     if profile.floor == NEG_INF:
         return RadialMeasure(n, _mass(n, profile.left_slope), atoms)
-    edge = profile._floor_edge
-    if edge >= profile.log_R:
+    release, start = _release(profile, n, profile._floor_edge, positions)
+    if release is None:
         return RadialMeasure(n, 0.0, ())  # constant profile, no mass
-    sigma = profile._formula_right_slope(edge)
-    assert sigma > 0.0, "clamp release point must have rising formula"
-    release = (edge, _mass(n, sigma))
-    return RadialMeasure(
-        n, 0.0, (release,) + atoms[bisect_right(positions, edge) :]
-    )
+    return RadialMeasure(n, 0.0, (release,) + atoms[start:])
+
+
+def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
+    """Yield (j, clamp, origin_mass, release, start) for each level j.
+
+    These are the data of ``ma_measure(profile.truncate(float(j)), n)``,
+    built without the clamped copy or the measure: its floor ``clamp``,
+    its origin mass, the release atom (t, mass) or None, and the index
+    ``start`` of its first knot atom in ``_knot_atoms(profile, n)[1]``.
+    The measure is the origin mass, the release atom, then
+    ``atoms[start:]``.  A level at or below the profile's infimum leaves
+    it unclamped (or on its own clamp), so those levels share one entry.
+    A level that is not positive raises truncate's ValueError.
+    """
+    _check_dimension(n)
+    positions, _ = _knot_atoms(profile, n)
+    infimum = profile.left_value
+    own = None
+    for j in schedule:
+        level = float(j)
+        _check_level(level)
+        c = -level
+        if c > infimum:
+            edge = profile._formula_sublevel_edge(c)
+            yield (j, c, 0.0, *_release(profile, n, edge, positions))
+            continue
+        if own is None:
+            if profile.floor == NEG_INF:
+                own = (NEG_INF, _mass(n, profile.left_slope), None, 0)
+            else:
+                edge = profile._floor_edge
+                own = (profile.floor, 0.0, *_release(profile, n, edge, positions))
+        yield (j, *own)
 
 
 def nonpolar_part(

@@ -53,6 +53,11 @@ def _check_floor(floor: float) -> None:
         raise ValueError("floor must be a float or -inf")
 
 
+def _check_level(j: float) -> None:
+    if not j > 0.0:
+        raise ValueError(f"truncation level j must be positive, got {j}")
+
+
 def _out_of_domain(t: float, log_R: float) -> OutOfDomain:
     if math.isnan(t):
         return OutOfDomain("t is NaN")
@@ -555,8 +560,7 @@ class ConvexProfile:
         result shares this profile's validated formula, so it costs one
         bisection (on first use of its release point), not a rebuild.
         """
-        if not j > 0.0:
-            raise ValueError(f"truncation level j must be positive, got {j}")
+        _check_level(j)
         return self._max_with_constant(-j)
 
     @staticmethod

@@ -67,29 +67,42 @@ def decide_flag(values: list[float]) -> tuple[str, dict]:
         return INCONCLUSIVE, meta
     eps0 = 1e-6 * (finite[0] + 1.0)
     meta["eps0"] = eps0
-    last3 = finite[-3:]
-    spread = max(last3) - min(last3)
-    scale = max(map(abs, last3))
-    if spread <= _REL_AGREE * max(scale, 1e-300) and finite[-1] > eps0:
-        meta["limit"] = finite[-1]
+    v3, v2, v1 = finite[-3:]
+    spread = max(v3, v2, v1) - min(v3, v2, v1)
+    scale = max(abs(v3), abs(v2), abs(v1))
+    if spread <= _REL_AGREE * max(scale, 1e-300) and v1 > eps0:
+        meta["limit"] = v1
         return CONVERGING_TO_POSITIVE, meta
-    tail = finite[len(finite) // 2 :]
-    steps = list(zip(tail, tail[1:]))
+    # one walk over the tail: is it nonincreasing, and its first and last
+    # strict decreases with their count
     slack = 1e-12 * (abs(finite[0]) + 1.0)
-    nonincreasing = all(b <= a + slack for a, b in steps)
+    nonincreasing = True
+    first = last = 0.0
+    drops = 0
+    half = len(finite) // 2
+    a = finite[half]
+    for b in finite[half + 1 :]:
+        if not b <= a + slack:
+            nonincreasing = False
+            break
+        if a > b:
+            last = a - b
+            if not drops:
+                first = last
+            drops += 1
+        a = b
     meta["tail_nonincreasing"] = nonincreasing
     if not nonincreasing:
-        if last3 != [0.0, 0.0, 0.0]:
+        if not v3 == v2 == v1 == 0.0:
             return INCONCLUSIVE, meta
         meta["limit"] = 0.0
         meta["reason"] = "last three values are exactly 0"
         return CONVERGING_TO_ZERO, meta
-    limit = _aitken_limit(*last3)
+    limit = _aitken_limit(v3, v2, v1)
     meta["limit"] = limit
     # decay-rate estimate from successive tail decreases, metadata only
-    pos = [a - b for a, b in steps if a > b]
-    if len(pos) >= 2:
-        meta["decay_ratio"] = (pos[-1] / pos[0]) ** (1.0 / (len(pos) - 1))
+    if drops >= 2:
+        meta["decay_ratio"] = (last / first) ** (1.0 / (drops - 1))
     if abs(limit) < eps0:
         return CONVERGING_TO_ZERO, meta
     return INCONCLUSIVE, meta
@@ -117,13 +130,17 @@ class DiagnosticSeries:
             INCONCLUSIVE,
         ):
             raise ValueError(f"unknown flag {self.flag!r}")
-        for (j0, _), (j1, _) in zip(self.entries, self.entries[1:]):
-            if not j1 > j0:
-                raise ValueError(f"series indices must increase: {j0} -> {j1}")
+        # one pass: index order, NaN, and a sign check unless the series
+        # is signed (an unsigned one rejects -inf as well)
+        floor = -math.inf if self.metadata.get("signed") else 0.0
+        prev = None
         for j, v in self.entries:
-            if math.isnan(v):
-                raise ValueError(f"series value at {j} is NaN")
-            if math.isfinite(v) and v < 0.0 and not self.metadata.get("signed"):
+            if prev is not None and not j > prev:
+                raise ValueError(f"series indices must increase: {prev} -> {j}")
+            prev = j
+            if not v >= floor:
+                if math.isnan(v):
+                    raise ValueError(f"series value at {j} is NaN")
                 raise ValueError(f"mass series went negative at {j}: {v}")
 
     @property
@@ -166,9 +183,9 @@ def build_series(
     if target is None:
         flagged = [v for _, v in pairs]
     else:
-        flagged = [
-            abs(v - target) if math.isfinite(v) else v for _, v in pairs
-        ]
+        # the deviation of a value that is not finite is not finite
+        # either, and decide_flag drops both alike
+        flagged = [abs(v - target) for _, v in pairs]
     flag, meta = decide_flag(flagged)
     if target is not None:
         meta["target"] = target

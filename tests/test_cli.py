@@ -365,3 +365,28 @@ def test_main_shares_one_parser_across_calls(tmp_path, capsys):
             tmp_path / "first" / name
         ).read_bytes()
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_output_files_get_the_mode_open_would_give_them(tmp_path, mask, mode, capsys):
+    old = os.umask(mask)
+    try:
+        assert cli.main(["--output-dir", str(tmp_path), "maximality"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("maximality.csv", "maximality.meta.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "maximality.csv",
+        "maximality.meta.json",
+    ]
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        cli._write_atomic(str(tmp_path / "x.csv"), "a,b\n")
+    assert list(tmp_path.iterdir()) == []

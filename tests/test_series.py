@@ -126,3 +126,29 @@ def test_flag_gate_scales_with_first_value():
     rows = [(1, 1e-9)] + [(j, 1e-9) for j in geometric_schedule(256)[1:]]
     s = build_series("j", rows)
     assert s.metadata["eps0"] == pytest.approx(1e-6 * (1e-9 + 1.0))
+
+
+def test_a_mass_series_rejects_minus_infinity():
+    with pytest.raises(ValueError, match="mass series went negative at 1.0: -inf"):
+        DiagnosticSeries("j", ((1.0, -math.inf), (2.0, 1.0)), "inconclusive")
+    # build_series used to drop it as an infinite entry and flag the rest
+    rows = [(1, -math.inf)] + [(j, 1.0 / j) for j in geometric_schedule(1024)[1:]]
+    with pytest.raises(ValueError, match="mass series went negative at 1.0: -inf"):
+        build_series("j", rows)
+    # +inf entries and signed series are unchanged
+    DiagnosticSeries("j", ((1.0, math.inf), (2.0, 1.0)), "inconclusive")
+    signed = DiagnosticSeries(
+        "j", ((1.0, -math.inf), (2.0, -1.0)), "inconclusive", {"signed": True}
+    )
+    assert signed.values == (-math.inf, -1.0)
+    assert build_series("j", rows, target=0.0).metadata["dropped_infinite"] == 1
+
+
+def test_series_checks_report_the_first_fault():
+    with pytest.raises(ValueError, match="series indices must increase: 2.0 -> 2.0"):
+        DiagnosticSeries("j", ((1.0, 1.0), (2.0, 1.0), (2.0, 1.0)), "inconclusive")
+    with pytest.raises(ValueError, match="series value at 2.0 is NaN"):
+        DiagnosticSeries("j", ((1.0, 1.0), (2.0, math.nan)), "inconclusive", {"signed": True})
+    with pytest.raises(ValueError, match="mass series went negative at 2.0: -0.5"):
+        DiagnosticSeries("j", ((1.0, 1.0), (2.0, -0.5)), "inconclusive")
+    DiagnosticSeries("j", ((1.0, -0.0), (2.0, 0.0)), "inconclusive")
