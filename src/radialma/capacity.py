@@ -72,20 +72,33 @@ def capacity(K: RadialCompact, log_R: float, n: int) -> float:
 def _condition_series(
     profile: ConvexProfile,
     n: int,
-    set_at_level,
+    set_bounds,
     schedule,
 ) -> DiagnosticSeries:
-    """j^n * cap_n(set_at_level(-j)) over the schedule (by default
-    ``geometric_schedule()``), inf where the set fills the ball."""
+    """j^n * cap_n(set at level -j) over the schedule (by default
+    ``geometric_schedule()``), inf where the set fills the ball.
+
+    ``set_bounds`` is the profile's private helper behind ``sublevel``
+    or ``level_set``: it gives the set's one interval, or None when the
+    set is empty.  Only the set's sup decides its capacity, so each
+    entry is ``j**n * _mass(n, 1.0 / (log_R - sup))``, the float
+    ``capacity`` returns, with no compact built.  An interval that is no
+    compact (a level of -inf or NaN) or a NaN log_R raises what building
+    the set and taking its capacity raises.
+    """
     _check_dimension(n)
+    log_R = profile.log_R
     entries = []
     touched = 0
     for j in geometric_schedule() if schedule is None else schedule:
-        K = set_at_level(float(-j))
-        if K.is_empty:
+        bounds = set_bounds(float(-j))
+        if bounds is None:
             entries.append((j, 0.0))
             continue
-        if K.sup >= profile.log_R:
+        sup = bounds[1]
+        if not math.isfinite(sup) or math.isnan(log_R):
+            RadialCompact((bounds,)).require_inside(log_R)
+        if sup >= log_R:
             # the set fills the ball: no extremal profile, record inf
             entries.append((j, math.inf))
             touched += 1
@@ -94,7 +107,7 @@ def _condition_series(
             scale = float(j) ** n
         except OverflowError:
             raise MassOverflow(f"j^n overflows at j={j}, n={n}") from None
-        entries.append((j, scale * capacity(K, profile.log_R, n)))
+        entries.append((j, scale * _mass(n, 1.0 / (log_R - sup))))
     return build_series(
         "j",
         entries,
@@ -113,7 +126,7 @@ def condition_sublevel(
     measures converge to the nonpolar part; the converse fails (the log
     profile yields the constant (2*pi)^n).
     """
-    return _condition_series(profile, n, profile.sublevel, schedule)
+    return _condition_series(profile, n, profile._sublevel_bounds, schedule)
 
 
 def condition_level(
@@ -122,4 +135,4 @@ def condition_level(
     schedule=None,
 ) -> DiagnosticSeries:
     """Series j^n * cap_n({u == -j}) over the schedule, with its flag."""
-    return _condition_series(profile, n, profile.level_set, schedule)
+    return _condition_series(profile, n, profile._level_bounds, schedule)

@@ -11,8 +11,8 @@ while the truncated measures still converge).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -399,6 +399,35 @@ def setwise_gap(
     )
 
 
+def _pruned_pairings(phi, a, b, window, first, levels):
+    """Entries of ``maximality_check``'s series for one phi: per level,
+    the fsum of the nonzero terms of its truncated measure against phi.
+
+    ``window`` holds the knot atoms inside phi's open support (a, b),
+    starting at atom index ``first``; a level keeps those from its
+    ``start`` on, and its release atom when that lies inside (a, b).
+    fsum's exact rounding does not depend on the order of the terms.
+    """
+    o = phi.origin_value
+    prods = [m * phi.value(t) for t, m in window]
+    size = len(prods)
+    entries = []
+    key = None
+    for j, _, origin, release, start in levels:
+        # clamped, so that levels keeping the same terms share a key
+        k = start - first
+        k = 0 if k < 0 else size if k > size else k
+        if release is not None and a < release[0] < b:
+            t, m = release
+            value = math.fsum([origin * o, m * phi.value(t)] + prods[k:])
+            key = None
+        elif key != (origin, k):
+            key = (origin, k)
+            value = math.fsum([origin * o] + prods[k:])
+        entries.append((j, value))
+    return entries
+
+
 def maximality_check(
     profile: ConvexProfile,
     n: int,
@@ -414,10 +443,15 @@ def maximality_check(
     reported as the hypothesis series.
 
     The truncated measures are read from ``_truncation_ladder``, so no
-    clamped copy or measure is built.  Every level keeps a suffix of the
-    knot atoms, so each phi is evaluated once per knot atom some level
-    keeps and once per release atom; each entry is the fsum ``RadialMeasure.integrate``
-    takes over the same terms, hence the same float.
+    clamped copy or measure is built.  Each phi is 0 outside the open
+    interval (a, b) from its first node (-inf when its origin value is
+    not 0) to its last node, so an atom there adds m * 0.0, which fsum
+    skips (an all-zero fsum is +0.0).  Phi is evaluated only at the knot
+    atoms inside (a, b), found by bisection, and at the release atoms
+    inside it; each entry is the fsum ``RadialMeasure.integrate`` takes
+    over the same nonzero terms, hence the same float.  Consecutive
+    levels that keep the same terms share one fsum, and the all-zero
+    series of a phi that meets no atom is built once per call.
     """
     if schedule is None:
         schedule = geometric_schedule()
@@ -431,23 +465,39 @@ def maximality_check(
     hypothesis = condition_level(profile, n, schedule)
     conclusion = []
     flags = {}
-    _, atoms = _knot_atoms(profile, n)
+    positions, atoms = _knot_atoms(profile, n)
     levels = list(_truncation_ladder(profile, n, schedule))
-    # fsum's exact rounding does not depend on the order of the terms
     lo = min((start for *_, start in levels), default=len(atoms))
+    released = [release[0] for *_, release, _ in levels if release is not None]
+    # every point an unpruned pairing evaluates phi at, in its order; one
+    # beyond phi's ball still raises phi's OutOfDomain
+    reach = list(positions[lo:]) + released
+    far = max(reach, default=NEG_INF)
+    released.sort()
+    zero = None  # the series of a phi that meets no atom, built once
     for phi in phis:
+        if far > phi.log_R:
+            for t in reach:
+                phi.value(t)
         o = phi.origin_value
-        prods = [m * phi.value(t) for t, m in atoms[lo:]]
-        entries = []
-        for j, _, origin, release, start in levels:
-            terms = [origin * o]
-            if release is not None:
-                t, m = release
-                terms.append(m * phi.value(t))
-            entries.append((j, math.fsum(terms + prods[start - lo :])))
-        s = build_series(
-            "j", entries, target=0.0, extra_metadata={"phi": phi.label}
-        )
+        a = phi.nodes[0][0] if o == 0.0 else NEG_INF
+        b = phi.nodes[-1][0]
+        first = bisect_right(positions, a, lo)
+        last = bisect_left(positions, b, first)
+        if (
+            first == last
+            and o == 0.0
+            and bisect_right(released, a) == bisect_left(released, b)
+        ):
+            # every term is zero: the same entries, flag and fit each time
+            if zero is None:
+                zero = build_series("j", [(j, 0.0) for j, *_ in levels], target=0.0)
+            s = replace(zero, metadata={**zero.metadata, "phi": phi.label})
+        else:
+            entries = _pruned_pairings(phi, a, b, atoms[first:last], first, levels)
+            s = build_series(
+                "j", entries, target=0.0, extra_metadata={"phi": phi.label}
+            )
         conclusion.append(s)
         flags[phi.label] = s.flag
     all_zero = all(s.flag == CONVERGING_TO_ZERO for s in conclusion)

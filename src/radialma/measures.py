@@ -161,6 +161,20 @@ def _release(
     return (edge, _mass(n, sigma)), bisect_right(positions, edge)
 
 
+def _sphere_atoms(
+    profile: ConvexProfile, n: int
+) -> tuple[tuple[float, float], ...]:
+    """The sphere atoms of (dd^c u)^n: the knot atoms of the formula, or
+    for a clamped profile its release atom followed by the knot atoms
+    right of it (none when the clamp covers the whole ball)."""
+    _check_dimension(n)
+    positions, atoms = _knot_atoms(profile, n)
+    if profile.floor == NEG_INF:
+        return atoms
+    release, start = _release(profile, n, profile._floor_edge, positions)
+    return () if release is None else (release,) + atoms[start:]
+
+
 def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     """Monge-Ampere measure (dd^c u)^n of u = chi(log ||z||) on the ball.
 
@@ -174,14 +188,10 @@ def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     code.  Raises MassOverflow when (2*pi)^n or a mass is not a finite
     float.
     """
-    _check_dimension(n)
-    positions, atoms = _knot_atoms(profile, n)
+    atoms = _sphere_atoms(profile, n)
     if profile.floor == NEG_INF:
         return RadialMeasure(n, _mass(n, profile.left_slope), atoms)
-    release, start = _release(profile, n, profile._floor_edge, positions)
-    if release is None:
-        return RadialMeasure(n, 0.0, ())  # constant profile, no mass
-    return RadialMeasure(n, 0.0, (release,) + atoms[start:])
+    return RadialMeasure(n, 0.0, atoms)
 
 
 def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
@@ -231,18 +241,27 @@ def nonpolar_part(
     present only when chi(-inf) = -inf, never meets {u > -j}).
 
     Only the schedule's deepest level J = max(schedule) decides, since a
-    shallower clamp covers more atoms: when ``profile.truncate(J)`` has
-    its clamp active at exactly -J, NonStabilized(J, count) is raised if
-    count > 0 atoms sit at or left of its release point.
+    shallower clamp covers more atoms.  ``profile.truncate(J)`` has its
+    clamp at exactly -J when -J is above the profile's infimum (a new
+    clamp, releasing at ``_formula_sublevel_edge(-J)``) or when the
+    profile's own clamp sits at -J (truncate then returns the profile
+    itself).  Either way NonStabilized(J, count) is raised if count > 0
+    atoms sit at or left of the release point.  Neither the clamped copy
+    nor the full measure is built.
     """
-    full = ma_measure(profile, n)
+    atoms = _sphere_atoms(profile, n)
     J = max(schedule)
-    clamped = profile.truncate(J)
-    if clamped.floor == -float(J):
-        missing = bisect_right(full.atoms, clamped._floor_edge, key=lambda a: a[0])
-        if missing:
-            raise NonStabilized(J, missing)
-    return RadialMeasure(n, 0.0, full.atoms)
+    _check_level(J)
+    if -J > profile.left_value:
+        edge = profile._formula_sublevel_edge(-J)
+    elif profile.floor == -J:
+        edge = profile._floor_edge
+    else:
+        edge = NEG_INF  # truncate(J) leaves the profile unclamped at -J
+    missing = bisect_right(atoms, edge, key=lambda a: a[0])
+    if missing:
+        raise NonStabilized(J, missing)
+    return RadialMeasure(n, 0.0, atoms)
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,11 @@ def _psor_solve(
     performs the update min(ob, v + omega * (0.5 * (l + r) - v))
     one IEEE operation at a time in that order, so the iterates, the
     stopping sweep and the NotConverged residual are the same floats as
-    gathering each colour through index arrays.
+    gathering each colour through index arrays.  Node 0 is never updated:
+    the grid check below puts nodes 0-2 at least two cells left of the
+    compact's end, where the obstacle is -1, so node 0 starts at -1 and a
+    flat (Neumann) update would keep it there; it enters the sweep only
+    as node 1's left neighbour.
 
     Grids above MAX_GRID_NODES raise GridTooLarge before any sweep, and
     grids whose first node is not two cells left of the compact's end
@@ -178,7 +182,6 @@ def _psor_solve(
         (even, v[1 : m - 1 : 2], v[3 : m + 1 : 2], ob[2:m:2],
          np.empty(even.size), diff[odd.size :]),
     )
-    ob0 = ob.item(0)
     delta = math.inf
     for _ in range(max_sweeps):
         for cur, left, right, obs, buf, part in colours:
@@ -191,12 +194,8 @@ def _psor_solve(
             np.minimum(obs, buf, out=buf)
             np.subtract(buf, cur, out=part)
             cur[...] = buf
-        # left endpoint: flat (Neumann) extension
-        a0 = v.item(0)
-        new0 = min(ob0, a0 + omega * 0.5 * (v.item(1) - a0))
-        v[0] = new0
         np.abs(diff, out=diff)
-        delta = max(float(diff.max()), abs(new0 - a0))
+        delta = float(diff.max())
         if delta <= SWEEP_TOL:
             break
     else:

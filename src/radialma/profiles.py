@@ -178,6 +178,11 @@ def make_compact(intervals) -> RadialCompact:
     return RadialCompact(tuple(merged))
 
 
+def _interval_compact(bounds: tuple[float, float] | None) -> RadialCompact:
+    """The compact holding one interval, or the empty one for None."""
+    return empty_compact() if bounds is None else RadialCompact((bounds,))
+
+
 def closed_ball(b: float) -> RadialCompact:
     """Closed ball {||z|| <= e^b} as a radial compact."""
     return RadialCompact(((NEG_INF, float(b)),))
@@ -496,25 +501,33 @@ class ConvexProfile:
         The edge equals log_R when the whole profile sits at or below s;
         the result then touches the boundary and has no extremal profile.
         """
+        return _interval_compact(self._sublevel_bounds(s))
+
+    def _sublevel_bounds(self, s: float) -> tuple[float, float] | None:
+        """The interval ``sublevel(s)`` holds, or None when it is empty."""
         if s < self.floor:
-            return empty_compact()
+            return None
         edge = self._formula_sublevel_edge(s)
         if edge is None:
-            return empty_compact()
-        return RadialCompact(((NEG_INF, edge),))
+            return None
+        return (NEG_INF, edge)
 
     def level_set(self, s: float) -> RadialCompact:
         """{chi == s}: empty, a sphere, a closed annulus, or a closed ball."""
+        return _interval_compact(self._level_bounds(s))
+
+    def _level_bounds(self, s: float) -> tuple[float, float] | None:
+        """The interval ``level_set(s)`` holds, or None when it is empty."""
         if s < self.floor or self.left_value > s:
-            return empty_compact()
+            return None
         hi = self._formula_sublevel_edge(s)
         if self.left_value == s:
             # the clamp (or a constant tail) attains s on a whole ball
-            return RadialCompact(((NEG_INF, hi),))
+            return (NEG_INF, hi)
         # now s > floor, so the level set is a formula-level question
         ts, vs = self._ts, self._vs
         if self._formula_boundary_limit() < s:
-            return empty_compact()
+            return None
         if isinstance(self.tail, MinusInfinity) and vs[0] >= s:
             lo = self._crossing(-1, s)
         else:
@@ -525,12 +538,12 @@ class ConvexProfile:
                     k -= 1
                 lo = ts[k]
             elif k == len(ts) - 1 and self.final_slope == 0.0:
-                return empty_compact()  # chi < s up to the boundary
+                return None  # chi < s up to the boundary
             else:
                 lo = self._crossing(k, s)
         if hi is None or hi < lo or lo >= self.log_R:
-            return empty_compact()
-        return RadialCompact(((lo, hi),))
+            return None
+        return (lo, hi)
 
     def _max_with_constant(self, c: float) -> "ConvexProfile":
         """max(chi, c): only the clamp moves, knots stay verbatim.

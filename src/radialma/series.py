@@ -60,7 +60,11 @@ def _aitken_limit(v3: float, v2: float, v1: float) -> float:
 
 def decide_flag(values: list[float]) -> tuple[str, dict]:
     """Flag a nonnegative series tail; returns (flag, fit metadata)."""
-    finite = [v for v in values if math.isfinite(v)]
+    # a finite sum means every value is finite: no filtered copy needed
+    if math.isfinite(sum(values)):
+        finite = values
+    else:
+        finite = [v for v in values if math.isfinite(v)]
     meta: dict = {"dropped_infinite": len(values) - len(finite)}
     if len(finite) < 3:
         meta["reason"] = "fewer than three finite entries"

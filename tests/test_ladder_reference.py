@@ -179,8 +179,9 @@ def reference_truncation_analysis(profile, K, n, schedule):
     )
 
 
-def reference_maximality_check(profile, n, schedule):
-    phis = punctured_battery(profile.log_R)
+def reference_maximality_check(profile, n, schedule, phis=None):
+    if phis is None:
+        phis = punctured_battery(profile.log_R)
     exhaustion = standard_exhaustion(profile.log_R)
     np_m = nonpolar_part(profile, n)
     hypothesis = condition_level(profile, n, schedule)
