@@ -83,8 +83,8 @@ def _condition_series(
     set is empty.  Only the set's sup decides its capacity, so each
     entry is ``j**n * _mass(n, 1.0 / (log_R - sup))``, the float
     ``capacity`` returns, with no compact built.  An interval that is no
-    compact (a level of -inf or NaN) or a NaN log_R raises what building
-    the set and taking its capacity raises.
+    compact (a level of -inf or NaN) raises what building the set and
+    taking its capacity raises; a profile cannot carry a NaN log_R.
     """
     _check_dimension(n)
     log_R = profile.log_R
@@ -96,7 +96,7 @@ def _condition_series(
             entries.append((j, 0.0))
             continue
         sup = bounds[1]
-        if not math.isfinite(sup) or math.isnan(log_R):
+        if not math.isfinite(sup):
             RadialCompact((bounds,)).require_inside(log_R)
         if sup >= log_R:
             # the set fills the ball: no extremal profile, record inf

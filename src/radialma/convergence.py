@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -212,52 +212,69 @@ def truncation_analysis(
 
     The levels come from ``_truncation_ladder``, so no clamped copy or
     measure is built.  A knot atom's value and membership in K do not
-    depend on j and are computed once; each level then splits the atoms
-    it keeps against -j.  The atom released by the clamp is identified
-    structurally (``level`` exactly when the clamp sits at -j), so no
-    float comparison of interpolated values is involved; a profile
-    carrying a deeper clamp of its own keeps its release atom classified
-    by value: it lies inside {u > -j}.
+    depend on j and are computed once.  The profile is nondecreasing, so
+    the values of the knot atoms in K are too, and two bisections split
+    the atoms a level keeps into those below, on and above -j.  The atom
+    released by the clamp is identified structurally (``level`` exactly
+    when the clamp sits at -j), so no float comparison of interpolated
+    values is involved; a profile carrying a deeper clamp of its own
+    keeps its release atom classified by value: it lies inside
+    {u > -j}.  Consecutive levels with the same split, the same
+    structural release mass and no atom classified by value have the
+    same terms, so they share one (total, level, interior) row of fsums.
     """
     if schedule is None:
         schedule = geometric_schedule()
     np_m = nonpolar_part(profile, n)
     np_mass = np_m.mass_on(K)
     _, atoms = _knot_atoms(profile, n)
-    # indices, masses and values of the knot atoms inside K
+    # indices, masses and values of the knot atoms inside K; the values
+    # are the profile's at its knots, so they are nondecreasing
     on_K = [i for i, (t, _) in enumerate(atoms) if K.contains(t)]
-    marked = [(atoms[i][1], profile.value(atoms[i][0])) for i in on_K]
+    masses = [atoms[i][1] for i in on_K]
+    values = [profile.value(atoms[i][0]) for i in on_K]
     rows_total: list[tuple[float, float]] = []
     rows_level: list[tuple[float, float]] = []
     rows_interior: list[tuple[float, float]] = []
+    contains = K.contains
+    key = row = None
     for j, clamp, origin, release, start in _truncation_ladder(profile, n, schedule):
         s = -j
-        interior: list[float] = []
-        level: list[float] = []
-        below: list[float] = []
+        on = None  # the release atom's mass, when the clamp sits at -j
         extra = []  # the origin and the release atom, when classified by value
         if origin != 0.0 and K.contains_origin:
             extra.append((origin, profile.left_value))
-        if release is not None and K.contains(release[0]):
+        if release is not None and contains(release[0]):
             t, m = release
             if clamp == s:
-                level.append(m)
+                on = m
             else:
                 extra.append((m, profile.value(t)))
-        for m, v in extra + marked[bisect_left(on_K, start) :]:
-            if v > s:
-                interior.append(m)
-            elif v == s:
-                level.append(m)
-            else:
-                below.append(m)
-        if below:  # every atom mass is positive
-            raise AssertionError(
-                f"truncated measure charged {{u < -{j}}}: {math.fsum(below)}"
-            )
-        rows_total.append((j, float(math.fsum(interior + level))))
-        rows_level.append((j, float(math.fsum(level))))
-        rows_interior.append((j, float(math.fsum(interior))))
+        # the kept atoms split into u < -j, u = -j and u > -j
+        lo = bisect_left(on_K, start)
+        hi = bisect_left(values, s, lo)
+        top = bisect_right(values, s, hi)
+        if extra or key != (lo, hi, top, on):
+            key = None if extra else (lo, hi, top, on)
+            interior = masses[top:]
+            level = masses[hi:top] if on is None else [on] + masses[hi:top]
+            below = masses[lo:hi]
+            for m, v in extra:
+                if v > s:
+                    interior.append(m)
+                elif v == s:
+                    level.append(m)
+                else:
+                    below.append(m)
+            if below:  # every atom mass is positive
+                raise AssertionError(
+                    f"truncated measure charged {{u < -{j}}}: {math.fsum(below)}"
+                )
+            row = (math.fsum(interior + level), math.fsum(level), math.fsum(interior))
+        total, on_level, inside = row
+        rows_total.append((j, total))
+        rows_level.append((j, on_level))
+        rows_interior.append((j, inside))
     for (_, a), (_, b) in zip(rows_interior, rows_interior[1:]):
         if b < a:
             raise AssertionError("interior masses must be nondecreasing in j")
@@ -267,12 +284,21 @@ def truncation_analysis(
     series_level = build_series(
         "j", rows_level, extra_metadata={"series": "level_part"}
     )
-    series_interior = build_series(
-        "j",
-        rows_interior,
-        target=np_mass,
-        extra_metadata={"series": "interior_part"},
-    )
+    if rows_interior == rows_total:
+        # nothing on the level at any j: the same fsums, flag and fit
+        series_interior = DiagnosticSeries(
+            "j",
+            series_total.entries,
+            series_total.flag,
+            {**series_total.metadata, "series": "interior_part"},
+        )
+    else:
+        series_interior = build_series(
+            "j",
+            rows_interior,
+            target=np_mass,
+            extra_metadata={"series": "interior_part"},
+        )
     flags = {
         "total_vs_np": series_total.flag,
         "level": series_level.flag,
@@ -450,8 +476,10 @@ def maximality_check(
     atoms inside (a, b), found by bisection, and at the release atoms
     inside it; each entry is the fsum ``RadialMeasure.integrate`` takes
     over the same nonzero terms, hence the same float.  Consecutive
-    levels that keep the same terms share one fsum, and the all-zero
-    series of a phi that meets no atom is built once per call.
+    levels that keep the same terms share one fsum.  The all-zero series
+    of a phi that meets no atom is built once per call; each such phi
+    gets a new series over its entries, flag and metadata, relabelled
+    with the phi's label.
     """
     if schedule is None:
         schedule = geometric_schedule()
@@ -492,7 +520,9 @@ def maximality_check(
             # every term is zero: the same entries, flag and fit each time
             if zero is None:
                 zero = build_series("j", [(j, 0.0) for j, *_ in levels], target=0.0)
-            s = replace(zero, metadata={**zero.metadata, "phi": phi.label})
+            s = DiagnosticSeries(
+                "j", zero.entries, zero.flag, {**zero.metadata, "phi": phi.label}
+            )
         else:
             entries = _pruned_pairings(phi, a, b, atoms[first:last], first, levels)
             s = build_series(

@@ -204,19 +204,30 @@ def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
     The measure is the origin mass, the release atom, then
     ``atoms[start:]``.  A level at or below the profile's infimum leaves
     it unclamped (or on its own clamp), so those levels share one entry.
-    A level that is not positive raises truncate's ValueError.
+    A clamp releasing left of the first knot releases on the left tail:
+    its atom is (edge, (2*pi*s)^n) with s the tail slope, the same mass
+    at every such level, and it keeps every knot atom (start 0).  The
+    branch reads the computed edge, so a crossing that rounds onto the
+    first knot takes the general path.  A level that is not positive
+    raises truncate's ValueError.
     """
     _check_dimension(n)
     positions, _ = _knot_atoms(profile, n)
     infimum = profile.left_value
-    own = None
+    t0 = profile._ts[0]
+    own = tail = None
     for j in schedule:
         level = float(j)
         _check_level(level)
         c = -level
         if c > infimum:
             edge = profile._formula_sublevel_edge(c)
-            yield (j, c, 0.0, *_release(profile, n, edge, positions))
+            if edge < t0:
+                if tail is None:
+                    tail = _mass(n, profile._tail_slope)
+                yield (j, c, 0.0, (edge, tail), 0)
+            else:
+                yield (j, c, 0.0, *_release(profile, n, edge, positions))
             continue
         if own is None:
             if profile.floor == NEG_INF:

@@ -229,6 +229,10 @@ class ConvexProfile:
         bps = self.breakpoints
         if not bps:
             raise ValueError("need at least one breakpoint")
+        if math.isnan(self.log_R):
+            # every comparison with NaN is false, so the knot check below
+            # would let it through
+            raise ValueError("log_R must not be NaN")
         for t, v in bps:
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ValueError("breakpoints must be finite")
@@ -343,18 +347,24 @@ class ConvexProfile:
         the cached segment slope, so repeated queries at the same level
         agree bitwise.
         """
-        i = max(k, 0)
+        i = k if k > 0 else 0
         return self._ts[i] + (s - self._vs[i]) / self._slopes[k + 1]
 
     def _formula_sublevel_edge(self, s: float) -> float | None:
-        """sup{t : formula(t) <= s}, None when empty, log_R when total."""
-        if self._formula_left_value() > s:
+        """sup{t : formula(t) <= s}, None when empty, log_R when total.
+
+        The crossing sits on the segment right of the last knot with
+        value <= s (-1: the left tail).  The formula is nondecreasing, so
+        the set can be empty only when s is below the first knot value,
+        and total only when it is not below the last.
+        """
+        vs = self._vs
+        k = bisect_right(vs, s) - 1
+        if k < 0 and isinstance(self.tail, FiniteValue):
             return None
-        if self._formula_boundary_limit() <= s:
+        if k == len(vs) - 1 and self._formula_boundary_limit() <= s:
             return self.log_R
-        # last knot with value <= s (-1 on a rising tail); the crossing
-        # sits on the next segment
-        return self._crossing(bisect_right(self._vs, s) - 1, s)
+        return self._crossing(k, s)
 
     @cached_property
     def _floor_edge(self) -> float:
@@ -518,10 +528,11 @@ class ConvexProfile:
 
     def _level_bounds(self, s: float) -> tuple[float, float] | None:
         """The interval ``level_set(s)`` holds, or None when it is empty."""
-        if s < self.floor or self.left_value > s:
+        left = self.left_value
+        if s < self.floor or left > s:
             return None
         hi = self._formula_sublevel_edge(s)
-        if self.left_value == s:
+        if left == s:
             # the clamp (or a constant tail) attains s on a whole ball
             return (NEG_INF, hi)
         # now s > floor, so the level set is a formula-level question
@@ -529,7 +540,8 @@ class ConvexProfile:
         if self._formula_boundary_limit() < s:
             return None
         if isinstance(self.tail, MinusInfinity) and vs[0] >= s:
-            lo = self._crossing(-1, s)
+            # below the first knot value the edge above is this crossing
+            lo = hi if vs[0] > s else self._crossing(-1, s)
         else:
             k = bisect_right(vs, s) - 1
             if vs[k] == s:

@@ -72,11 +72,14 @@ def decide_flag(values: list[float]) -> tuple[str, dict]:
     eps0 = 1e-6 * (finite[0] + 1.0)
     meta["eps0"] = eps0
     v3, v2, v1 = finite[-3:]
-    spread = max(v3, v2, v1) - min(v3, v2, v1)
-    scale = max(abs(v3), abs(v2), abs(v1))
-    if spread <= _REL_AGREE * max(scale, 1e-300) and v1 > eps0:
-        meta["limit"] = v1
-        return CONVERGING_TO_POSITIVE, meta
+    # the positive flag needs v1 > eps0, which most tails flagged against
+    # their target do not reach, so that is tested first
+    if v1 > eps0:
+        spread = max(v3, v2, v1) - min(v3, v2, v1)
+        scale = max(abs(v3), abs(v2), abs(v1))
+        if spread <= _REL_AGREE * max(scale, 1e-300):
+            meta["limit"] = v1
+            return CONVERGING_TO_POSITIVE, meta
     # one walk over the tail: is it nonincreasing, and its first and last
     # strict decreases with their count
     slack = 1e-12 * (abs(finite[0]) + 1.0)

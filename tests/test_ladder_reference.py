@@ -40,12 +40,14 @@ from radialma import (
     truncation_analysis,
     annulus,
 )
-from radialma.measures import _knot_atoms, _truncation_ladder
+from radialma.measures import _knot_atoms, _mass, _truncation_ladder
 from radialma.series import _aitken_limit, decide_flag
 from test_nonpolar_properties import fixed_profiles, profiles
 
 LADDER_SCHEDULES = (geometric_schedule(), (1,), (3, 5, 9), (1, 2, math.inf))
 HARNESS_SCHEDULES = (geometric_schedule(), (1,), (3, 5, 9))
+# levels far below every knot, where each clamp releases on the left tail
+DEEP_SCHEDULES = (geometric_schedule(2**30), (1, 3, 2**20 + 1, 2**30 - 1, 2**30))
 COMPACTS = (closed_ball(-2.0), annulus(-3.0, -1.5), annulus(-2.0, -2.0))
 
 
@@ -265,6 +267,16 @@ def measure_bits(levels):
     ]
 
 
+def knot_level_schedule(profile):
+    """Levels on each negative knot value and one ulp either side of it,
+    where a clamp releases on a knot or its crossing rounds onto one."""
+    levels = set()
+    for _, v in profile.breakpoints:
+        if v < 0.0:
+            levels |= {-v, math.nextafter(-v, 0.0), math.nextafter(-v, math.inf)}
+    return tuple(sorted(levels)) or (1,)
+
+
 # -- the ladder ---------------------------------------------------------
 
 
@@ -305,6 +317,53 @@ def test_a_level_that_is_not_positive_raises_truncates_error(bad):
     assert outcome(lambda: maximality_check(p, 1, schedule=schedule)) == outcome(
         lambda: reference_maximality_check(p, 1, schedule)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_crossing_that_rounds_onto_the_first_knot_releases_there(n):
+    # the tail crossing -1024 - 2**-52 rounds onto the first knot, so the
+    # clamp releases there at the slope right of it and drops that knot's
+    # atom, as the clamped copy's measure does
+    p = make_profile([(-1024.0, -1.0)], MinusInfinity(1.0), final_slope=2.0)
+    schedule = (1 + 2**-52,)
+    ((_, _, _, release, start),) = _truncation_ladder(p, n, schedule)
+    assert release == (-1024.0, _mass(n, 2.0)) and start == 1
+    assert measure_bits(ladder_measures(p, n, schedule)) == measure_bits(
+        reference_levels(p, n, schedule)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_deep_and_knot_levels_match_the_references_on_the_families(n):
+    for p in fixed_profiles():
+        for schedule in DEEP_SCHEDULES + (knot_level_schedule(p),):
+            assert measure_bits(ladder_measures(p, n, schedule)) == measure_bits(
+                reference_levels(p, n, schedule)
+            ), (p, schedule)
+            for K in COMPACTS:
+                assert outcome(lambda: truncation_analysis(p, K, n, schedule).to_json_dict()) == outcome(
+                    lambda: reference_truncation_analysis(p, K, n, schedule).to_json_dict()
+                ), (p, K, schedule)
+            assert outcome(lambda: maximality_check(p, n, schedule=schedule).to_json_dict()) == outcome(
+                lambda: reference_maximality_check(p, n, schedule).to_json_dict()
+            ), (p, schedule)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=profiles(),
+    n=st.integers(1, 3),
+    which=st.integers(0, len(DEEP_SCHEDULES)),
+    K=st.sampled_from(COMPACTS),
+)
+def test_deep_and_knot_levels_match_the_references(p, n, which, K):
+    schedule = (DEEP_SCHEDULES + (knot_level_schedule(p),))[which]
+    assert measure_bits(ladder_measures(p, n, schedule)) == measure_bits(
+        reference_levels(p, n, schedule)
+    )
+    got = outcome(lambda: truncation_analysis(p, K, n, schedule).to_json_dict())
+    want = outcome(lambda: reference_truncation_analysis(p, K, n, schedule).to_json_dict())
+    assert got == want
 
 
 # -- the harnesses ------------------------------------------------------

@@ -71,6 +71,16 @@ def test_final_slope_must_be_finite():
             make_profile([(-2.0, -2.0), (-1.0, -1.0)], MinusInfinity(1.0), final_slope=s)
 
 
+def test_log_R_must_not_be_nan():
+    # every knot passes t >= log_R as false against NaN
+    with pytest.raises(ValueError, match="log_R must not be NaN"):
+        make_profile([(-1.0, -1.0)], MinusInfinity(1.0), final_slope=2.0, log_R=math.nan)
+    data = log_profile().to_json_dict()
+    data["log_R"] = math.nan
+    with pytest.raises(ValueError, match="log_R must not be NaN"):
+        ConvexProfile.from_json_dict(data)
+
+
 def test_breakpoints_must_lie_below_boundary():
     with pytest.raises(OutOfDomain):
         log_profile().value(0.0)

@@ -105,10 +105,15 @@ def test_a_level_of_minus_infinity_raises_as_the_compact_did():
 
 
 @pytest.mark.parametrize("which", sorted(CONDITIONS))
-def test_a_nan_log_R_raises_as_capacity_did(which):
-    p = make_profile([(-1.0, -1.0)], MinusInfinity(1.0), final_slope=2.0, log_R=math.nan)
-    got, want = condition_outcomes(p, 2, (1, 2, 4), which)
-    assert got == want and got[:2] == ("raised", "OutOfDomain")
+def test_a_nan_log_R_is_rejected_before_either_series(which):
+    # the profile itself refuses a NaN log_R, so no series reaches one
+    series, _ = CONDITIONS[which]
+    with pytest.raises(ValueError, match="log_R must not be NaN"):
+        series(
+            make_profile([(-1.0, -1.0)], MinusInfinity(1.0), final_slope=2.0, log_R=math.nan),
+            2,
+            (1, 2, 4),
+        )
 
 
 # -- the pruned maximality pairings -------------------------------------
@@ -117,7 +122,8 @@ def test_a_nan_log_R_raises_as_capacity_did(which):
 def edge_battery(p, n, schedule):
     """Test functions whose support ends sit on the knot atoms and the
     release points of the schedule's levels, plateaus (origin value 1)
-    ending on each of them, and hats that cover no atom."""
+    ending on each of them, hats ending just right of each release
+    point, and hats that cover no atom."""
     positions, _ = _knot_atoms(p, n)
     releases = [r[0] for *_, r, _ in _truncation_ladder(p, n, schedule) if r is not None]
     pts = sorted(set(positions) | set(releases))
@@ -137,6 +143,10 @@ def edge_battery(p, n, schedule):
         add(hat, a, m, b)  # an atom at the peak
     for b in pts:
         add(plateau, b - 1.0, b)
+    for r in sorted(set(releases)):
+        b = r + 2.0**-32  # within 1e-9 right of the release point
+        if r < b < log_R:
+            add(hat, r - 1.0, r - 0.5, b)
     first = pts[0] if pts else log_R - 1.0
     add(hat, first - 3.0, first - 2.0, first - 1.0)  # left of every atom
     add(plateau, first - 2.0, first - 1.0)

@@ -157,6 +157,24 @@ def test_sublevel_matches_reference_bitwise(p, u):
         assert bits(p.sublevel(s).intervals) == bits(reference_sublevel(p, s)), s
 
 
+def edge_or_error(edge, s):
+    try:
+        x = edge(s)
+    except ZeroDivisionError as e:  # a NaN level on a flat last segment
+        return ("raised", str(e))
+    return x if x is None else x.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=profiles(), u=st.floats(0.0, 1.0))
+def test_sublevel_edge_matches_reference_bitwise(p, u):
+    # the edge is read from the bisection alone, and at the infinities and
+    # NaN too, which no set can hold
+    for s in probe_levels(p, u) + [NEG_INF, math.inf, math.nan]:
+        got = edge_or_error(p._formula_sublevel_edge, s)
+        assert got == edge_or_error(lambda s: reference_edge(p, s), s), s
+
+
 @settings(max_examples=150, deadline=None)
 @given(p=profiles(), u=st.floats(0.0, 1.0))
 def test_level_set_matches_reference_bitwise(p, u):
