@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import MassOverflow
 from .measures import RadialMeasure, _check_dimension, _mass, ma_measure
-from .profiles import ConvexProfile, FiniteValue, RadialCompact
+from .profiles import ConvexProfile, FiniteValue, RadialCompact, _check_level
 from .series import DiagnosticSeries, build_series, geometric_schedule
 
 
@@ -82,15 +82,22 @@ def _condition_series(
     or ``level_set``: it gives the set's one interval, or None when the
     set is empty.  Only the set's sup decides its capacity, so each
     entry is ``j**n * _mass(n, 1.0 / (log_R - sup))``, the float
-    ``capacity`` returns, with no compact built.  An interval that is no
-    compact (a level of -inf or NaN) raises what building the set and
-    taking its capacity raises; a profile cannot carry a NaN log_R.
+    ``capacity`` returns, with no compact built.  Each j is checked
+    before its set is read: a j that is not positive, NaN included,
+    raises the truncation ladder's ValueError, as ``truncation_analysis``
+    does over the same schedule.  An interval that is no compact (j =
+    inf puts the level at -inf) raises what building the set and taking
+    its capacity raises; a profile cannot carry a NaN log_R.
     """
     _check_dimension(n)
     log_R = profile.log_R
     entries = []
     touched = 0
     for j in geometric_schedule() if schedule is None else schedule:
+        # the same test _check_level makes, here only to save it a call
+        # per level on the normal path
+        if not j > 0.0:
+            _check_level(float(j))
         bounds = set_bounds(float(-j))
         if bounds is None:
             entries.append((j, 0.0))

@@ -148,18 +148,24 @@ def check_decreasing(
     ts = [NEG_INF, *(t for t, _ in limit.breakpoints)]
     ts += list(np.linspace(t0 - 6.0, limit.log_R - 1e-6, 33))
     prev: list[float] | None = None
-    lim_vals = [limit.value(t) for t in ts]
+    # per point, once: the slack, and the bound a member must not dip
+    # below (-inf where the limit is not finite, so no value dips)
+    slacks, lows = [], []
+    for t in ts:
+        lv = limit.value(t)
+        finite = math.isfinite(lv)
+        slack = tol * (1.0 + (abs(lv) if finite else 0.0))
+        slacks.append(slack)
+        lows.append(lv - slack if finite else NEG_INF)
     for k in ks:
         prof = seq.member(k)
         vals = [prof.value(t) for t in ts]
         for i, (t, v) in enumerate(zip(ts, vals)):
-            lv = lim_vals[i]
-            slack = tol * (1.0 + (abs(lv) if math.isfinite(lv) else 0.0))
-            if math.isfinite(lv) and v < lv - slack:
+            if v < lows[i]:
                 raise NonMonotoneSequence(
                     f"{seq.label}: member {k} dips below the limit at t={t}"
                 )
-            if prev is not None and math.isfinite(prev[i]) and v > prev[i] + slack:
+            if prev is not None and math.isfinite(prev[i]) and v > prev[i] + slacks[i]:
                 raise NonMonotoneSequence(
                     f"{seq.label}: member {k} rises above the previous one at t={t}"
                 )

@@ -97,11 +97,8 @@ def fd_riesz_measure(profile: ConvexProfile, grid: Grid1D) -> RadialMeasure:
         raise NegativeSecondDifference(
             f"mass {worst} at t={grid.nodes[i + 1]} below -{tol}"
         )
-    atoms = [
-        (float(t), float(m))
-        for t, m in zip(grid.nodes[1:-1], masses)
-        if m > tol
-    ]
+    keep = masses > tol
+    atoms = zip(grid.nodes[1:-1][keep].tolist(), masses[keep].tolist())
     return RadialMeasure(1, 0.0, tuple(atoms))
 
 

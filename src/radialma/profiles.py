@@ -58,6 +58,11 @@ def _check_level(j: float) -> None:
         raise ValueError(f"truncation level j must be positive, got {j}")
 
 
+def _check_set_level(s: float) -> None:
+    if math.isnan(s):
+        raise ValueError(f"level s must not be NaN, got {s}")
+
+
 def _out_of_domain(t: float, log_R: float) -> OutOfDomain:
     if math.isnan(t):
         return OutOfDomain("t is NaN")
@@ -427,11 +432,19 @@ class ConvexProfile:
 
         ``p.value`` is this profile's own evaluator, a closure built on
         first use over the knot tuples, the end knots and slopes, and
-        the clamp, held in plain locals.  It gives the same floats as max(p._formula_value(t),
-        p.floor): the chord slope comes from ``_slopes`` instead of a
-        per-call division, and the clamp is the comparison ``max``
-        makes.  It holds no reference to the profile, so an evaluated
-        profile is freed as soon as its last reference goes.
+        the clamp, held in plain locals.  Its branches run in this
+        order: t <= t0 (the first knot) takes the left tail, t < t1 (the
+        last knot) the bisected chord, t < log_R the line right of t1.
+        NaN and every t >= log_R fail all three tests and reach the
+        final raise, so the domain check costs nothing on the way to a
+        value.  An unclamped profile gets a closure with no clamp at
+        all; a clamped one applies ``floor if floor > x else x`` after
+        the same branches.  Either gives the same floats as
+        max(p._formula_value(t), p.floor): the chord slope comes from
+        ``_slopes`` instead of a per-call division, and the clamp is the
+        comparison ``max`` makes.  It holds no reference to the profile,
+        so an evaluated profile is freed as soon as its last reference
+        goes.
         """
         ts, vs, slopes = self._ts, self._vs, self._slopes
         log_R, floor = self.log_R, self.floor
@@ -441,19 +454,35 @@ class ConvexProfile:
         # returned (it may differ from v0 in the sign of zero)
         left = None if s0 else self.tail.value
 
-        def value(t: float) -> float:
-            if not t < log_R:
+        # the clamp never fires on a floor of -inf, but its comparison
+        # and the extra store cost about a tenth of the evaluation time
+        if floor == NEG_INF:
+
+            def value(t: float) -> float:
+                if t <= t0:
+                    return v0 + s0 * (t - t0) if s0 else left
+                if t < t1:
+                    i = bisect_right(ts, t)
+                    return vs[i - 1] + slopes[i] * (t - ts[i - 1])
+                if t < log_R:
+                    return v1 + s1 * (t - t1)
                 raise _out_of_domain(t, log_R)
+
+            return value
+
+        def clamped(t: float) -> float:
             if t <= t0:
                 x = v0 + s0 * (t - t0) if s0 else left
-            elif t >= t1:
-                x = v1 + s1 * (t - t1)
-            else:
+            elif t < t1:
                 i = bisect_right(ts, t)
                 x = vs[i - 1] + slopes[i] * (t - ts[i - 1])
+            elif t < log_R:
+                x = v1 + s1 * (t - t1)
+            else:
+                raise _out_of_domain(t, log_R)
             return floor if floor > x else x
 
-        return value
+        return clamped
 
     def __getstate__(self) -> dict:
         # the evaluator is a closure, which does not pickle; a copy or an
@@ -510,7 +539,9 @@ class ConvexProfile:
 
         The edge equals log_R when the whole profile sits at or below s;
         the result then touches the boundary and has no extremal profile.
+        A NaN level raises ValueError.
         """
+        _check_set_level(s)
         return _interval_compact(self._sublevel_bounds(s))
 
     def _sublevel_bounds(self, s: float) -> tuple[float, float] | None:
@@ -523,7 +554,9 @@ class ConvexProfile:
         return (NEG_INF, edge)
 
     def level_set(self, s: float) -> RadialCompact:
-        """{chi == s}: empty, a sphere, a closed annulus, or a closed ball."""
+        """{chi == s}: empty, a sphere, a closed annulus, or a closed ball.
+        A NaN level raises ValueError."""
+        _check_set_level(s)
         return _interval_compact(self._level_bounds(s))
 
     def _level_bounds(self, s: float) -> tuple[float, float] | None:

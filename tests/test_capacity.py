@@ -9,6 +9,7 @@ from radialma import (
     CONVERGING_TO_POSITIVE,
     CONVERGING_TO_ZERO,
     EmptyCompact,
+    FiniteValue,
     Grid1D,
     OutOfDomain,
     RadialMeasure,
@@ -24,6 +25,7 @@ from radialma import (
     log_profile,
     ma_measure,
     make_compact,
+    make_profile,
     max_const_profile,
     oracle_capacity,
     power_tail_profile,
@@ -234,3 +236,23 @@ def test_condition_handles_boundary_filling_sublevels():
     s = condition_sublevel(constant_profile(-5.0), 1)
     assert s.flag == CONVERGING_TO_ZERO
     assert s.metadata["dropped_infinite"] == 3
+
+
+@pytest.mark.parametrize(
+    "schedule, got",
+    [((0, 1, 2), "0.0"), ((-1, 1, 2), "-1.0"), ((1, math.nan, 4), "nan")],
+    ids=["zero", "negative", "nan"],
+)
+@pytest.mark.parametrize(
+    "series", [condition_sublevel, condition_level], ids=["sublevel", "level"]
+)
+@pytest.mark.parametrize(
+    "profile",
+    [log_profile(), make_profile([(-1.0, -1.0)], FiniteValue(-1.0), final_slope=0.0)],
+    ids=["log", "flat-last-segment"],
+)
+def test_condition_series_reject_levels_that_are_not_positive(profile, series, schedule, got):
+    # j = 0 used to give the entry (0, inf) or (0, 0.0), and NaN a stray
+    # ZeroDivisionError or an interval error naming no level
+    with pytest.raises(ValueError, match=rf"^truncation level j must be positive, got {got}$"):
+        series(profile, 1, schedule)

@@ -1,5 +1,6 @@
 """Harnesses: truncation analysis, weak convergence, maximality, membership."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ def test_maximality_verdicts():
     assert maximality_check(power_tail_profile(0.5), 1).verdict == "not-maximal"
 
 
+@pytest.mark.parametrize(
+    "schedule, got",
+    [((0, 1, 2), "0.0"), ((-1, 1, 2), "-1.0"), ((1, math.nan, 4), "nan")],
+    ids=["zero", "negative", "nan"],
+)
+def test_maximality_rejects_levels_that_are_not_positive(schedule, got):
+    # the hypothesis series raises the truncation ladder's error, the one
+    # truncation_analysis raises over the same schedule
+    msg = rf"^truncation level j must be positive, got {got}$"
+    with pytest.raises(ValueError, match=msg):
+        maximality_check(log_profile(), 1, schedule=schedule)
+    with pytest.raises(ValueError, match=msg):
+        truncation_analysis(log_profile(), closed_ball(-1.0), 1, schedule=schedule)
+
+
 def test_maximality_series_vanish_for_log():
     rep = maximality_check(log_profile(), 1)
     for ser in rep.conclusion_series:
@@ -289,6 +305,53 @@ def test_check_decreasing_rejects_members_below_limit():
     )
     with pytest.raises(NonMonotoneSequence):
         check_decreasing(sinking, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "slope, intercept, message",
+    [
+        # 0.5t - 0.5 rises above member 1 (t + 1) left of -3 and dips
+        # below the limit right of -1: the rise is met first
+        (0.5, -0.5, "member 2 rises above the previous one at t=-7.0"),
+        # 3t + 2 dips below the limit left of -1 and rises above member 1
+        # right of -0.5: the dip is met first
+        (3.0, 2.0, "member 2 dips below the limit at t=-7.0"),
+    ],
+    ids=["rise", "dip"],
+)
+def test_check_decreasing_names_the_first_failing_point(slope, intercept, message):
+    limit = log_profile()
+    second = make_profile(
+        [(-1.0, intercept - slope)], MinusInfinity(slope), final_slope=slope
+    )
+    seq = ProfileSequence(
+        "mixed", limit, lambda k: limit.shift(1.0) if k == 1 else second
+    )
+    with pytest.raises(NonMonotoneSequence, match=rf"^mixed: {re.escape(message)}$"):
+        check_decreasing(seq, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "first, second, fails",
+    [
+        # the slack is 1e-9 * (1 + |limit|), so about 1e-9 near t = 0
+        (0.0, -0.9e-9, False),
+        (0.0, -1.5e-9, True),
+        (0.0, 0.9e-9, False),
+        (0.9e-9, 2.4e-9, True),
+    ],
+    ids=["small-dip", "dip", "small-rise", "rise"],
+)
+def test_check_decreasing_allows_exactly_its_slack(first, second, fails):
+    limit = log_profile()
+    seq = ProfileSequence(
+        "near", limit, lambda k: limit.shift(first if k == 1 else second)
+    )
+    if fails:
+        with pytest.raises(NonMonotoneSequence):
+            check_decreasing(seq, [1, 2])
+    else:
+        check_decreasing(seq, [1, 2])
 
 
 def test_member_index_validation():

@@ -26,6 +26,7 @@ from radialma import (
     log_profile,
     ma_measure,
     oracle_capacity,
+    power_tail_profile,
     random_compact,
     random_profile,
     relaxation_envelope,
@@ -99,8 +100,91 @@ def test_negative_second_difference_guard():
         def values(self, ts):
             return -np.square(ts)
 
-    with pytest.raises(NegativeSecondDifference):
-        fd_riesz_measure(Concave(), Grid1D.from_bounds(-2.0, -0.1, 0.1))
+    grid = Grid1D.from_bounds(-2.0, -0.1, 0.1)
+    with pytest.raises(NegativeSecondDifference) as got:
+        fd_riesz_measure(Concave(), grid)
+    # the message is the one the per-node loop's guard gave
+    with pytest.raises(NegativeSecondDifference) as want:
+        reference_fd_atoms(Concave(), grid)
+    assert str(got.value) == str(want.value)
+
+
+# -- the atom selection of fd_riesz_measure ----------------------------------
+
+
+def reference_fd_atoms(profile, grid):
+    """fd_riesz_measure's atoms as a per-node loop over numpy scalars
+    selected them, before one mask did; the guard is kept with it."""
+    vals = profile.values(grid.nodes)
+    h = grid.h
+    second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+    masses = TWO_PI * second / h
+    vmax = float(np.max(np.abs(vals)))
+    tol = TWO_PI * 32.0 * np.finfo(float).eps * (1.0 + vmax) / h
+    worst = float(masses.min()) if masses.size else 0.0
+    if worst < -tol:
+        i = int(masses.argmin())
+        raise NegativeSecondDifference(
+            f"mass {worst} at t={grid.nodes[i + 1]} below -{tol}"
+        )
+    atoms = [
+        (float(t), float(m))
+        for t, m in zip(grid.nodes[1:-1], masses)
+        if m > tol
+    ]
+    return tuple(atoms)
+
+
+def atom_bits(atoms):
+    return [(float(t).hex(), float(m).hex()) for t, m in atoms]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fd_atoms_match_the_per_node_loop_on_lattice_draws(seed):
+    # the lattice draws and grid of the profile-eval benchmark workload
+    rng = np.random.default_rng(31_000 + seed)
+    lat = 1.0 / 16
+    grid = Grid1D.from_bounds(-16.0, -lat, lat)
+    p = random_profile(rng, 0.0, bounded=True, lattice=lat, allow_clamp=False)
+    atoms = fd_riesz_measure(p, grid).atoms
+    assert all(type(t) is float and type(m) is float for t, m in atoms)
+    assert atom_bits(atoms) == atom_bits(reference_fd_atoms(p, grid))
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        log_profile().truncate(2.0),
+        log_profile().truncate(64.0),
+        power_tail_profile(0.5).truncate(4.0),
+        power_tail_profile(0.25).truncate(16.0),
+        constant_profile(-1.0),
+    ],
+    ids=["log/2", "log/64", "powertail0.5/4", "powertail0.25/16", "constant"],
+)
+@pytest.mark.parametrize("h", [0.125, 1e-2, 2e-3], ids=repr)
+def test_fd_atoms_match_the_per_node_loop_on_truncated_families(profile, h):
+    grid = Grid1D.from_bounds(-8.0, -0.125, h)
+    atoms = fd_riesz_measure(profile, grid).atoms
+    assert atom_bits(atoms) == atom_bits(reference_fd_atoms(profile, grid))
+
+
+def test_fd_atoms_near_the_tolerance_match_the_per_node_loop():
+    # dips of 16 * eps * r give a mass of about r times the tolerance:
+    # 0.75 tol is dropped and 1.5 tol kept, by both selections
+    grid = Grid1D.from_bounds(-2.0, -0.1, 0.1)
+    eps = float(np.finfo(float).eps)
+
+    class Dips:
+        def values(self, ts):
+            vals = np.zeros_like(ts)
+            vals[4] = -16.0 * eps * 0.75
+            vals[12] = -16.0 * eps * 1.5
+            return vals
+
+    atoms = fd_riesz_measure(Dips(), grid).atoms
+    assert [t for t, _ in atoms] == [float(grid.nodes[12])]
+    assert atom_bits(atoms) == atom_bits(reference_fd_atoms(Dips(), grid))
 
 
 def test_relaxation_envelope_matches_hull_on_balls():

@@ -102,6 +102,23 @@ def test_nan_is_out_of_domain():
     assert log_profile().values(np.array([])).size == 0
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        make_profile([(-1.0, -1.0)], FiniteValue(-1.0), final_slope=0.0),
+        log_profile(),
+        log_profile().truncate(2.0),
+    ],
+    ids=["flat-last-segment", "log", "log-truncated"],
+)
+@pytest.mark.parametrize("method", ["sublevel", "level_set"])
+def test_nan_level_is_rejected(p, method):
+    # a flat last segment used to divide by zero in _crossing, and the log
+    # profile built the interval (-inf, nan), neither naming the level
+    with pytest.raises(ValueError, match=r"^level s must not be NaN, got nan$"):
+        getattr(p, method)(math.nan)
+
+
 def test_clamp_level_must_be_a_float_below_inf():
     p = log_profile()
     for c in (math.nan, math.inf):

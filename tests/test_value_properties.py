@@ -189,3 +189,99 @@ def test_evaluated_profile_pickles_and_copies(p):
     for q in (pickle.loads(pickle.dumps(p)), copy.copy(p)):
         assert q == p
         assert [bits(q.value(t)) for t in pts] == before
+
+
+# -- the branch order of the evaluator ---------------------------------------
+
+
+def reference_closure(p):
+    """The evaluator as it was built before the domain check moved last:
+    one closure for every profile, testing t < log_R first and clamping
+    always."""
+    ts, vs, slopes = p._ts, p._vs, p._slopes
+    log_R, floor = p.log_R, p.floor
+    t0, v0, s0 = ts[0], vs[0], slopes[0]
+    t1, v1, s1 = ts[-1], vs[-1], slopes[-1]
+    left = None if s0 else p.tail.value
+
+    def value(t: float) -> float:
+        if not t < log_R:
+            raise OutOfDomain("t is NaN" if math.isnan(t) else f"t={t} >= log_R={log_R}")
+        if t <= t0:
+            x = v0 + s0 * (t - t0) if s0 else left
+        elif t >= t1:
+            x = v1 + s1 * (t - t1)
+        else:
+            i = bisect_right(ts, t)
+            x = vs[i - 1] + slopes[i] * (t - ts[i - 1])
+        return floor if floor > x else x
+
+    return value
+
+
+def out_of_domain_points(log_R: float) -> list[float]:
+    return [math.nan, math.inf, log_R, math.nextafter(log_R, math.inf)]
+
+
+def outcome(f, t):
+    """The bit pattern f returns at t, or the type and message it raises."""
+    try:
+        return bits(f(t))
+    except OutOfDomain as exc:
+        return type(exc), str(exc)
+
+
+def one_knot_profiles():
+    """One-knot profiles, clamped and not: the extremal profiles and the
+    competitors that criterion 7 evaluates, and clamped copies of them."""
+    ps = [
+        make_profile([(-1.0, -1.0)], FiniteValue(-1.0), 1.0),
+        make_profile([(-0.5, -0.0)], FiniteValue(-0.0), 0.0),
+        log_profile(),
+        log_profile(1.0),
+    ]
+    return ps + [p.truncate(2.0) for p in ps] + [log_profile().max_with_affine(0.0, -3.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.one_of(profiles(), st.sampled_from(one_knot_profiles())),
+    u=st.floats(0.0, 1.0),
+    far=st.floats(-1e6, 0.0),
+)
+def test_value_matches_the_log_R_first_closure_bitwise(p, u, far):
+    ref = reference_closure(p)
+    ts = p._ts
+    pts = probe_points(ts, p.log_R, p._floor_edge) + list(ts)
+    pts += [ts[0] + u * (ts[-1] - ts[0]), min(p.log_R + far, math.nextafter(p.log_R, NEG_INF))]
+    for t in pts + out_of_domain_points(p.log_R):
+        assert outcome(p.value, t) == outcome(ref, t), t
+
+
+@pytest.mark.parametrize(
+    "p",
+    one_knot_profiles()
+    + [power_tail_profile(0.5), power_tail_profile(0.5).truncate(16.0)]
+    + signed_zero_profiles(),
+    ids=lambda p: f"{len(p._ts)}knots/floor{p.floor:g}",
+)
+def test_value_at_every_knot_and_outside_the_domain(p):
+    ref = reference_closure(p)
+    for t in p._ts:
+        # the last knot of a multi-knot profile fails t < t1 and takes the
+        # right line, where the reference's t >= t1 also sent it
+        assert bits(p.value(t)) == bits(ref(t)), t
+    for t in out_of_domain_points(p.log_R):
+        with pytest.raises(OutOfDomain) as got:
+            p.value(t)
+        with pytest.raises(OutOfDomain) as want:
+            ref(t)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_the_knot_and_clamp_cases_are_all_covered():
+    # the two closure bodies, each with one and with many knots
+    cases = one_knot_profiles() + [power_tail_profile(0.5), power_tail_profile(0.5).truncate(16.0)]
+    seen = {(len(p._ts) > 1, p.floor != NEG_INF) for p in cases}
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
