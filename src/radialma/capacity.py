@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import MassOverflow
 from .measures import RadialMeasure, _check_dimension, _mass, ma_measure
-from .profiles import ConvexProfile, FiniteValue, RadialCompact, _check_level
+from .profiles import ConvexProfile, FiniteValue, RadialCompact, _check_level, _interval_compact
 from .series import DiagnosticSeries, build_series, geometric_schedule
 
 
@@ -85,9 +85,9 @@ def _condition_series(
     ``capacity`` returns, with no compact built.  Each j is checked
     before its set is read: a j that is not positive, NaN included,
     raises the truncation ladder's ValueError, as ``truncation_analysis``
-    does over the same schedule.  An interval that is no compact (j =
-    inf puts the level at -inf) raises what building the set and taking
-    its capacity raises; a profile cannot carry a NaN log_R.
+    does over the same schedule.  At j = inf a profile unbounded below
+    leaves only the origin, which raises the ValueError ``sublevel`` and
+    ``level_set`` raise at -inf; a profile cannot carry a NaN log_R.
     """
     _check_dimension(n)
     log_R = profile.log_R
@@ -104,7 +104,7 @@ def _condition_series(
             continue
         sup = bounds[1]
         if not math.isfinite(sup):
-            RadialCompact((bounds,)).require_inside(log_R)
+            _interval_compact(bounds, float(-j))  # the origin alone: raises
         if sup >= log_R:
             # the set fills the ball: no extremal profile, record inf
             entries.append((j, math.inf))

@@ -46,6 +46,7 @@ from .families import (
     log_profile,
     max_const_profile,
     power_tail_profile,
+    punctured_battery,
     random_compact,
     random_profile,
     sample_analytic,
@@ -352,47 +353,72 @@ def scenario_capacity_table(args):
     return cols, rows, meta
 
 
-# family -> scenario -> expected flag (condition) or verdict; the random
-# family has none.  The log profile stays positive for both condition
-# variants: the extremal envelope fills the hole of the sphere {u = -j},
-# so the level capacity equals the sublevel one.
-_HOLDS = {"condition": CONVERGING_TO_ZERO, "maximality": "not-maximal", "membership": "in-domain"}
+# scenario -> (the log family's flag or verdict, that of maxconst,
+# powertail and linearcap).  The log profile stays positive for both
+# condition variants: the extremal envelope fills the hole of the sphere
+# {u = -j}, so the level capacity equals the sublevel one.
 _EXPECTED = {
-    "log": {
-        "condition": CONVERGING_TO_POSITIVE,
-        "maximality": "maximal-off-origin",
-        "membership": "hypothesis-positive-no-verdict",
-    },
-    "maxconst": _HOLDS,
-    "powertail": _HOLDS,
-    "linearcap": _HOLDS,
+    "condition": (CONVERGING_TO_POSITIVE, CONVERGING_TO_ZERO),
+    "maximality": ("maximal-off-origin", "not-maximal"),
+    "membership": ("hypothesis-positive-no-verdict", "in-domain"),
 }
-# j^n cap({u <= -j}) of the log family approaches (2*pi)^n only like
-# (j / (j + log_R))^n, so its positive flag and verdict are exact only at
-# log_R = 0; elsewhere they are reported, not required
-_LOG_R_ZERO_ONLY = ("condition", "membership")
 
 
-def _check_expected(args, tag, what, got, series, expected=None):
-    """Require ``expected``, by default the family's expected flag or
-    verdict for this scenario; returns it, or None when there is none."""
-    if expected is None and not (
-        args.family == "log" and args.log_R != 0.0 and args.command in _LOG_R_ZERO_ONLY
-    ):
-        expected = _EXPECTED.get(args.family, {}).get(args.command)
-    if expected is not None:
-        _require(
-            got == expected,
-            f"family_expected_{what}",
-            f"{tag}: {what} {got}, expected {expected}",
-            series,
-        )
+def _expected(args, profile):
+    """The flag (condition) or verdict (maximality, membership) the
+    family scenario must show, or None when it is only reported.
+
+    ``_EXPECTED`` gives it for every family but random, with these
+    exceptions.  A profile with zero final slope is constant and has
+    zero measure, so it must be maximal off the origin whatever its
+    family (linearcap --a 0, maxconst with c >= log_R).  The log
+    family's condition and membership are required only at log_R = 0:
+    elsewhere j^n cap({u <= -j}) nears (2*pi)^n only like
+    (j / (j + log_R))^n and is still short of it at j = 1024.  And
+    maximal-off-origin is required only once the schedule has three
+    levels j with -j at or left of the punctured battery's deepest node
+    (log_R - 64): a hat over a shallower level carries that level's
+    release atom, so the hats' series cannot flag zero before.
+    """
+    log, other = _EXPECTED.get(args.command, (None, None))
+    if args.command == "maximality" and profile.final_slope == 0.0:
+        expected = "maximal-off-origin"
+    elif args.family == "log":
+        expected = log if args.log_R == 0.0 or args.command == "maximality" else None
+    else:
+        expected = None if args.family == "random" else other
+    if expected == "maximal-off-origin":
+        deepest = min(phi.nodes[0][0] for phi in punctured_battery(args.log_R))
+        if sum(-j <= deepest for j in geometric_schedule(args.j_max)) < 3:
+            return None
     return expected
 
 
-def scenario_condition(args):
+def _family_scenario(body):
+    """A family scenario from ``body(args, profile, tag)``, which returns
+    its columns, rows, meta and the series to dump when the expectation
+    fails.  The profile is built once, the flag or verdict ``_expected``
+    names is required, and the meta gains the profile tag and n."""
+
+    @functools.wraps(body)
+    def scenario(args):
+        profile, tag = _build_family(args)
+        columns, rows, meta, series = body(args, profile, tag)
+        what = "flag" if args.command == "condition" else "verdict"
+        expected = _expected(args, profile)
+        if expected is not None:
+            detail = f"{tag}: {what} {meta[what]}, expected {expected}"
+            _require(meta[what] == expected, f"family_expected_{what}", detail, series)
+        if what == "flag":
+            meta["expected_flag"] = expected
+        return columns, rows, {"profile": tag, "n": args.n, **meta}
+
+    return scenario
+
+
+@_family_scenario
+def scenario_condition(args, profile, tag):
     """Scaled capacity condition series for a named profile family."""
-    profile, tag = _build_family(args)
     schedule = geometric_schedule(args.j_max)
     cond = (
         condition_level(profile, args.n, schedule)
@@ -400,37 +426,24 @@ def scenario_condition(args):
         else condition_sublevel(profile, args.n, schedule)
     )
     rows = list(zip(cond.indices, cond.values))
-    expected = _check_expected(args, tag, "flag", cond.flag, [cond])
-    meta = {
-        "profile": tag,
-        "which": args.which,
-        "n": args.n,
-        "flag": cond.flag,
-        "expected_flag": expected,
-        "series_metadata": cond.metadata,
-    }
-    return ["j", "scaled_capacity"], rows, meta
+    meta = {"which": args.which, "flag": cond.flag, "series_metadata": cond.metadata}
+    return ["j", "scaled_capacity"], rows, meta, [cond]
 
 
-def _default_compacts(log_R: float):
-    return [
+@_family_scenario
+def scenario_truncate_analyze(args, profile, tag):
+    """Truncated mass decomposition total = interior + level on compacts."""
+    schedule = geometric_schedule(args.j_max)
+    log_R = args.log_R
+    rows = []
+    meta_per = {}
+    for name, K in [
         ("ball", closed_ball(log_R - 2.0)),
         ("annulus", make_compact([(log_R - 3.0, log_R - 1.5)])),
         ("sphere", make_compact([(log_R - 2.0, log_R - 2.0)])),
-    ]
-
-
-def scenario_truncate_analyze(args):
-    """Truncated mass decomposition total = interior + level on compacts."""
-    profile, tag = _build_family(args)
-    schedule = geometric_schedule(args.j_max)
-    rows = []
-    meta_per = {}
-    all_series = []
-    for name, K in _default_compacts(args.log_R):
+    ]:
         rep = truncation_analysis(profile, K, args.n, schedule)
         tot, lev, inter = rep.conclusion_series[:3]
-        all_series += [tot, lev]
         for (j, t), (_, l), (_, i) in zip(
             zip(tot.indices, tot.values),
             zip(lev.indices, lev.values),
@@ -448,13 +461,12 @@ def scenario_truncate_analyze(args):
             "verdict": rep.verdict,
             "np_mass_on_K": rep.details["np_mass_on_K"],
         }
-    meta = {"profile": tag, "n": args.n, "compacts": meta_per}
-    return ["compact", "j", "total", "interior", "level"], rows, meta
+    return ["compact", "j", "total", "interior", "level"], rows, {"compacts": meta_per}, ()
 
 
-def scenario_weak_converge(args):
+@_family_scenario
+def scenario_weak_converge(args, profile, tag):
     """Truncation sequence of a family profile against the 16-phi battery."""
-    profile, tag = _build_family(args)
     seq = truncation_sequence(profile, label=tag)
     battery = default_battery(args.log_R)
     report = weak_convergence_test(seq, battery, args.n, geometric_schedule(args.k_max))
@@ -470,60 +482,55 @@ def scenario_weak_converge(args):
         [report.hypothesis_series, *report.conclusion_series],
     )
     meta = {
-        "profile": tag,
-        "n": args.n,
         "hypothesis_flag": report.hypothesis_series.flag,
         "flags": report.flags,
         "verdict": report.verdict,
         "battery": list(report.battery),
     }
-    return ["phi", "k", "integral", "np_target"], rows, meta
+    return ["phi", "k", "integral", "np_target"], rows, meta, ()
 
 
-def scenario_maximality(args):
+@_family_scenario
+def scenario_maximality(args, profile, tag):
     """Vanishing-nonpolar-part maximality check for a family profile."""
-    profile, tag = _build_family(args)
     report = maximality_check(profile, args.n, schedule=geometric_schedule(args.j_max))
     rows = []
     for s in report.conclusion_series:
         for j, v in zip(s.indices, s.values):
             rows.append((s.metadata["phi"], int(j), v))
-    # a profile with zero final slope is constant and has zero measure,
-    # whatever its family (linearcap --a 0, maxconst with c >= log_R)
-    constant = "maximal-off-origin" if profile.final_slope == 0.0 else None
-    _check_expected(args, tag, "verdict", report.verdict, report.conclusion_series[:2], constant)
     meta = {
-        "profile": tag,
-        "n": args.n,
         "verdict": report.verdict,
         "np_total_mass": report.details["np_total_mass"],
         "hypothesis_flag": report.hypothesis_series.flag,
         "flags": report.flags,
     }
-    return ["phi", "j", "integral"], rows, meta
+    return ["phi", "j", "integral"], rows, meta, report.conclusion_series[:2]
 
 
-def scenario_membership(args):
+@_family_scenario
+def scenario_membership(args, profile, tag):
     """Membership diagnostic for the Monge-Ampere operator's domain."""
-    profile, tag = _build_family(args)
     report = ma_domain_membership(profile, args.n, schedule=geometric_schedule(args.j_max))
     hyp = report.hypothesis_series
     rows = list(zip((int(j) for j in hyp.indices), hyp.values))
-    _check_expected(args, tag, "verdict", report.verdict, [hyp])
     meta = {
-        "profile": tag,
-        "n": args.n,
         "verdict": report.verdict,
         "hypothesis_flag": hyp.flag,
         "np_masses_on_exhaustion": report.details["np_masses_on_exhaustion"],
         "np_is_radon": report.details["np_is_radon"],
     }
-    return ["j", "scaled_sublevel_capacity"], rows, meta
+    return ["j", "scaled_sublevel_capacity"], rows, meta, [hyp]
 
 
 def scenario_oracle_check(args):
     """Cross-validation: exact calculus vs finite differences and relaxation."""
     rows = []
+
+    def bound(section, case, metric, value, limit, name, detail):
+        """Append the row of one bound and require it."""
+        rows.append((section, case, metric, value, limit, value <= limit))
+        _require(value <= limit, name, detail)
+
     h_lattice = 1.0 / 16.0
     rng = np.random.default_rng(args.seed)
     worst_pl = 0.0
@@ -536,26 +543,19 @@ def scenario_oracle_check(args):
         grid = Grid1D.from_bounds(-16.0, -h_lattice, h_lattice)
         err = fd_distribution_error(prof, grid)
         worst_pl = max(worst_pl, err)
-    rows.append(("pl-exactness", f"{n_profiles} lattice profiles", "sup|F_exact-F_fd|", worst_pl, 1e-9, worst_pl <= 1e-9))
-    _require(worst_pl <= 1e-9, "pl_fd_distribution_1e-9", f"worst {worst_pl}")
+    bound("pl-exactness", f"{n_profiles} lattice profiles", "sup|F_exact-F_fd|", worst_pl, 1e-9, "pl_fd_distribution_1e-9", f"worst {worst_pl}")
 
     hs = [1e-2, 5e-3, 2.5e-3]
     for alpha in (0.25, 0.5, 0.75):
         errs = []
         for h in hs:
             errs.append(_powertail_fd_error(alpha, h))
-            rows.append(
-                (
-                    "powertail-refinement",
-                    f"alpha={alpha:g},h={h:g}",
-                    "sup|F_fd-F_true|",
-                    errs[-1],
-                    10.0 * h,
-                    errs[-1] <= 10.0 * h,
-                )
-            )
-            _require(
-                errs[-1] <= 10.0 * h,
+            bound(
+                "powertail-refinement",
+                f"alpha={alpha:g},h={h:g}",
+                "sup|F_fd-F_true|",
+                errs[-1],
+                10.0 * h,
                 "powertail_fd_within_10h",
                 f"alpha={alpha}, h={h}: err {errs[-1]}",
             )
@@ -579,10 +579,9 @@ def scenario_oracle_check(args):
         ts = np.linspace(left + 0.1, -2e-3, 400)
         gap = max(abs(env.value(float(t)) - res.profile.value(float(t))) for t in ts)
         worst_env = max(worst_env, gap)
-    rows.append(("envelope", f"{args.envelopes} compacts", "max_rel_capacity_err", worst_cap, 10.0 * args.h, worst_cap <= 10.0 * args.h))
-    rows.append(("envelope", f"{args.envelopes} compacts", "max_profile_gap", worst_env, 10.0 * args.h, worst_env <= 10.0 * args.h))
-    _require(worst_cap <= 10.0 * args.h, "oracle_capacity_within_10h", f"worst {worst_cap}")
-    _require(worst_env <= 10.0 * args.h, "relaxation_envelope_within_10h", f"worst {worst_env}")
+    case = f"{args.envelopes} compacts"
+    bound("envelope", case, "max_rel_capacity_err", worst_cap, 10.0 * args.h, "oracle_capacity_within_10h", f"worst {worst_cap}")
+    bound("envelope", case, "max_profile_gap", worst_env, 10.0 * args.h, "relaxation_envelope_within_10h", f"worst {worst_env}")
 
     meta = {
         "seed": args.seed,
@@ -707,9 +706,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "n", 1) < 1:
-            raise UsageError("--n must be >= 1")
-        for nm in ("j_max", "k_max", "count", "envelopes"):
+        for nm in ("n", "j_max", "k_max", "count", "envelopes"):
             if getattr(args, nm, 1) < 1:
                 raise UsageError(f"--{nm.replace('_', '-')} must be >= 1")
         h = getattr(args, "h", None)

@@ -183,8 +183,11 @@ def make_compact(intervals) -> RadialCompact:
     return RadialCompact(tuple(merged))
 
 
-def _interval_compact(bounds: tuple[float, float] | None) -> RadialCompact:
-    """The compact holding one interval, or the empty one for None."""
+def _interval_compact(bounds: tuple[float, float] | None, s: float) -> RadialCompact:
+    """The compact holding the set at level s, or the empty one for None;
+    (-inf, -inf), the origin alone at s = -inf, raises ValueError."""
+    if bounds is not None and bounds[1] == NEG_INF:
+        raise ValueError(f"level s={s} leaves only the origin, which is no compact")
     return empty_compact() if bounds is None else RadialCompact((bounds,))
 
 
@@ -539,10 +542,10 @@ class ConvexProfile:
 
         The edge equals log_R when the whole profile sits at or below s;
         the result then touches the boundary and has no extremal profile.
-        A NaN level raises ValueError.
+        A NaN level, or -inf on a profile unbounded below, raises ValueError.
         """
         _check_set_level(s)
-        return _interval_compact(self._sublevel_bounds(s))
+        return _interval_compact(self._sublevel_bounds(s), s)
 
     def _sublevel_bounds(self, s: float) -> tuple[float, float] | None:
         """The interval ``sublevel(s)`` holds, or None when it is empty."""
@@ -555,9 +558,9 @@ class ConvexProfile:
 
     def level_set(self, s: float) -> RadialCompact:
         """{chi == s}: empty, a sphere, a closed annulus, or a closed ball.
-        A NaN level raises ValueError."""
+        A NaN level, or -inf on a profile unbounded below, raises ValueError."""
         _check_set_level(s)
-        return _interval_compact(self._level_bounds(s))
+        return _interval_compact(self._level_bounds(s), s)
 
     def _level_bounds(self, s: float) -> tuple[float, float] | None:
         """The interval ``level_set(s)`` holds, or None when it is empty."""

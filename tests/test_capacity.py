@@ -256,3 +256,16 @@ def test_condition_series_reject_levels_that_are_not_positive(profile, series, s
     # ZeroDivisionError or an interval error naming no level
     with pytest.raises(ValueError, match=rf"^truncation level j must be positive, got {got}$"):
         series(profile, 1, schedule)
+
+
+@pytest.mark.parametrize(
+    "series", [condition_sublevel, condition_level], ids=["sublevel", "level"]
+)
+def test_condition_series_name_a_level_of_minus_infinity(series):
+    # j = inf puts the level at -inf, where the log profile leaves only
+    # the origin; the error names that level, as sublevel's does
+    with pytest.raises(ValueError, match=r"^level s=-inf leaves only the origin"):
+        series(log_profile(), 1, (1, 2, math.inf))
+    # a bounded profile's set at -inf is empty, so its entry stays 0.0
+    s = series(max_const_profile(-1.0), 1, (1, 2, math.inf))
+    assert s.entries[-1] == (math.inf, 0.0)

@@ -317,6 +317,31 @@ def test_constant_profile_is_maximal_off_the_origin(tmp_path, capsys, argv):
     assert result["np_total_mass"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "family, threshold",
+    [
+        (["--log-R=0"], 256),
+        (["--log-R=-0.5"], 512),
+        (["--family", "linearcap", "--a", "0"], 256),
+    ],
+    ids=["log", "log-R=-0.5", "linearcap-a=0"],
+)
+def test_maximal_off_origin_is_required_once_three_levels_pass_the_battery(
+    tmp_path, capsys, family, threshold
+):
+    # the punctured battery's deepest node is log_R - 64: above it a hat
+    # carries a release atom, so the verdict is reported and not required
+    # until three levels j have -j at or left of that node
+    for e in range(11):
+        argv = ["maximality", *family, "--j-max", str(2**e)]
+        assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0, argv
+        args = cli.build_parser().parse_args(argv)
+        expected = cli._expected(args, cli._build_family(args)[0])
+        assert expected == ("maximal-off-origin" if 2**e >= threshold else None), argv
+    verdict = json.loads((tmp_path / "maximality.meta.json").read_text())["result"]["verdict"]
+    assert verdict == "maximal-off-origin"
+
+
 @pytest.mark.parametrize("log_R", ["0", "0.5", "-0.5"])
 def test_log_family_expectation_is_required_only_at_log_R_zero(tmp_path, capsys, log_R):
     # j^n cap({u <= -j}) reaches (2*pi)^n only like (j / (j + log_R))^n,

@@ -2,10 +2,13 @@
 
 Each entry is the sha256 of one data file (csv or json) written by
 ``radialma.cli.main``: the seven scenarios that run no oracle at their
-defaults, and the five family scenarios with ``--family powertail``.
-The meta sidecars are left out, since they record the package, numpy
-and Python versions.  A change that moves any float in any of these
-files fails here.
+defaults, the five family scenarios with the powertail, maxconst and
+linearcap families, ``condition --which level``, and ``condition`` and
+``membership`` on the log family at ``--log-R=0.5``.  No random family
+is pinned, so numpy's generator stream cannot move these digests.  The
+meta sidecars are left out, since they record the package, numpy and
+Python versions.  A change that moves any float in any of these files
+fails here.
 """
 import hashlib
 
@@ -26,6 +29,19 @@ GOLDEN = {
     ("csv", "weak-converge", "powertail"): "189d5be5a99343ae3961425cc9d7ccffb240b17192cf7797ac56cf0507321f7f",
     ("csv", "maximality", "powertail"): "6e584402fbdeec27e2be359f8f11d781ba1befe8b468198f50668ddbb714b71d",
     ("csv", "membership", "powertail"): "c9288d0200c71f54ab5c844fb7a71f1f9634195ea15f0f0c65de6585b51cf281",
+    ("csv", "condition", "maxconst"): "15de37ef4ed94df6615684568c3e0eef05e69b8e16129fc48af3b3ba7e5fd317",
+    ("csv", "condition", "linearcap"): "15de37ef4ed94df6615684568c3e0eef05e69b8e16129fc48af3b3ba7e5fd317",
+    ("csv", "truncate-analyze", "maxconst"): "6b06fcdb06b7c5bf356582e9b5a3c226ec91a86f45425254b3c60e548faca6ac",
+    ("csv", "truncate-analyze", "linearcap"): "6b06fcdb06b7c5bf356582e9b5a3c226ec91a86f45425254b3c60e548faca6ac",
+    ("csv", "weak-converge", "maxconst"): "00e7219e9175d42171651f20497168abb130045b72cbdf8c77d72c6d61173a81",
+    ("csv", "weak-converge", "linearcap"): "00e7219e9175d42171651f20497168abb130045b72cbdf8c77d72c6d61173a81",
+    ("csv", "maximality", "maxconst"): "54b3e8aea021834ab86d4aaed9f9bba2f6b8a99856ce1d3cbba355a032ec34c7",
+    ("csv", "maximality", "linearcap"): "54b3e8aea021834ab86d4aaed9f9bba2f6b8a99856ce1d3cbba355a032ec34c7",
+    ("csv", "membership", "maxconst"): "d81ac8e53ba71b3e2a31b0368eaa0fe0977762befd50e1e236d43fc1735cb577",
+    ("csv", "membership", "linearcap"): "d81ac8e53ba71b3e2a31b0368eaa0fe0977762befd50e1e236d43fc1735cb577",
+    ("csv", "condition", "level"): "073715c11d2d41736f5760589f77f25d4a24ea0c6db49b8ffe8059b84ec8f199",
+    ("csv", "condition", "log-R=0.5"): "ac4867add79ebb0907e9a55794f57ff7ea4f9b883936d76d76227f34c33804ba",
+    ("csv", "membership", "log-R=0.5"): "52e6def9ddba23d406f1774a5c9661f8db97cbe698299099150d45748db86beb",
     ("json", "counterexample"): "8eaa41e839a557d01474e2cb52321429a090d41a4e9b781272e6e4745f5c80b9",
     ("json", "capacity-table"): "7204ed620bb5293648e5d7a05fa66248e8b85337613306128c32a1a8bb9031e3",
     ("json", "condition"): "22126ea2e13e725336425749bd256e4c7cff454a45039c96ac4ed1d232d54253",
@@ -38,15 +54,36 @@ GOLDEN = {
     ("json", "weak-converge", "powertail"): "38b6cf643df312af5da75e7d2587b4b695a476719ebc79fef7fb0a762c9570f6",
     ("json", "maximality", "powertail"): "099df75d3ad3392e3510dee1d24ea1ed114d0352309fff1df3c94955ebf8cb30",
     ("json", "membership", "powertail"): "2d167f270a9fc0ae64acff250f58a11d49b1821d9137508e81d093f0d3b59727",
+    ("json", "condition", "maxconst"): "32538ec2ee14e6a3fa4aef34ad1faa9d93a85083047efca3d58552f5142c0d69",
+    ("json", "condition", "linearcap"): "32538ec2ee14e6a3fa4aef34ad1faa9d93a85083047efca3d58552f5142c0d69",
+    ("json", "truncate-analyze", "maxconst"): "32a19f5a59afb22bf9ac289dfa4e674de5d4f9ef443c5b0058066eafa4eef523",
+    ("json", "truncate-analyze", "linearcap"): "32a19f5a59afb22bf9ac289dfa4e674de5d4f9ef443c5b0058066eafa4eef523",
+    ("json", "weak-converge", "maxconst"): "ede35563caf7dd08e5ba19aa732bd0f92900c3410fd5e75a7be8185e77c4413d",
+    ("json", "weak-converge", "linearcap"): "ede35563caf7dd08e5ba19aa732bd0f92900c3410fd5e75a7be8185e77c4413d",
+    ("json", "maximality", "maxconst"): "8aa6ff496ac6521d248c9ec180bf73e68f01d8a43faa0f419b31055bc6dda76e",
+    ("json", "maximality", "linearcap"): "8aa6ff496ac6521d248c9ec180bf73e68f01d8a43faa0f419b31055bc6dda76e",
+    ("json", "membership", "maxconst"): "e1d063e454fbeffdd6bc2735e1c50953164fba88576643ac3a8a6370222d2db1",
+    ("json", "membership", "linearcap"): "e1d063e454fbeffdd6bc2735e1c50953164fba88576643ac3a8a6370222d2db1",
+    ("json", "condition", "level"): "22126ea2e13e725336425749bd256e4c7cff454a45039c96ac4ed1d232d54253",
+    ("json", "condition", "log-R=0.5"): "b0e0803a5f5dcc0a67ec01f52dc11f5f2f48c6f89e62abb68656ecf3d31d659c",
+    ("json", "membership", "log-R=0.5"): "a631b296e15c0fb3afbbfbf36d421be7d74c8cc79fda3a3b6ddea6f5e0a41953",
+}
+# the options each variant named in a key adds to the scenario's defaults
+VARIANTS = {
+    "powertail": ["--family", "powertail"],
+    "maxconst": ["--family", "maxconst"],
+    "linearcap": ["--family", "linearcap"],
+    "level": ["--which", "level"],
+    "log-R=0.5": ["--family", "log", "--log-R=0.5"],
 }
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: "-".join(k))
 def test_data_file_matches_its_golden_digest(key, tmp_path, capsys):
-    fmt, scenario, *family = key
+    fmt, scenario, *variant = key
     argv = ["--output-dir", str(tmp_path), "--format", fmt, scenario]
-    if family:
-        argv += ["--family", family[0]]
+    if variant:
+        argv += VARIANTS[variant[0]]
     assert cli.main(argv) == 0, capsys.readouterr().err
     data = (tmp_path / f"{scenario}.{fmt}").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN[key]

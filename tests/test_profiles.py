@@ -119,6 +119,17 @@ def test_nan_level_is_rejected(p, method):
         getattr(p, method)(math.nan)
 
 
+@pytest.mark.parametrize("method", ["sublevel", "level_set"])
+def test_minus_infinite_level_names_the_level(method):
+    # {u <= -inf} of a profile unbounded below is the origin alone; the
+    # interval (-inf, -inf) used to raise RadialCompact's "endpoints must
+    # be < +inf", which named the wrong infinity and no level
+    with pytest.raises(ValueError, match=r"^level s=-inf leaves only the origin"):
+        getattr(log_profile(), method)(-math.inf)
+    # a bounded profile has nothing at -inf: the empty compact, as before
+    assert getattr(max_const_profile(-1.0), method)(-math.inf).is_empty
+    assert getattr(power_tail_profile(0.5), method)(-math.inf).is_empty
+
 def test_clamp_level_must_be_a_float_below_inf():
     p = log_profile()
     for c in (math.nan, math.inf):
