@@ -102,17 +102,54 @@ def _require(cond: bool, name: str, detail: str = "", series=()):
         raise ScenarioFailure(msg, series)
 
 
-def _jsonable(obj):
-    """Recursively convert to strict-JSON values (no bare inf/nan)."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, nl="\n"):
+    """``json.dumps(x, indent=2, sort_keys=True)``, written in one walk,
+    for x the strict-JSON form of obj: its dict keys made str, its numpy
+    scalars made Python numbers and its non-finite floats made strings
+    ("inf", "-inf", "nan"), so no bare inf or nan is written.
+
+    ``nl`` is the newline plus the indent of obj's own line.  A float is
+    written by ``float.__repr__``, as json does (numpy 2's repr of an
+    ``np.float64`` is ``np.float64(...)``), and what json cannot encode
+    raises the TypeError it raised.
+    """
+    # floats first: most cells of the rows are floats (np.float64 too)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return text if math.isfinite(obj) else _ENCODE_STR(text)
+    if isinstance(obj, str):
+        return _ENCODE_STR(obj)
+    if isinstance(obj, int):
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        return int.__repr__(obj)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return (
+            "{" + inner
+            + ("," + inner).join([_ENCODE_STR(k) + ": " + _json_text(v, inner) for k, v in items])
+            + nl + "}"
+        )
+    if obj is None:
+        return "null"
     if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+        item = obj.item()
+        if not isinstance(item, np.generic):  # np.longdouble stays itself
+            return _json_text(item, nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _TMP_IDS = itertools.count()
@@ -124,6 +161,9 @@ def _write_atomic(path: str, text: str) -> None:
     The temporary file is created with mode 0o666, so the umask gives the
     written file the mode that open() would give it; its name is unique
     per process and call, and O_EXCL refuses a leftover of the same name.
+    The text's UTF-8 bytes, whatever the locale, go to the descriptor
+    with os.write, called again after a short write; that costs less
+    than a buffered file object, whose opening calls fstat and isatty.
     """
     d = os.path.dirname(path) or "."
     while True:
@@ -134,8 +174,12 @@ def _write_atomic(path: str, text: str) -> None:
             continue
         break
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            f.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -165,11 +209,10 @@ def _emit(outdir: str, scenario: str, fmt: str, columns, rows, meta) -> list[str
             w.writerow([_cell(v) for v in r])
         _write_atomic(data_path, buf.getvalue())
     else:
-        payload = {"columns": list(columns), "rows": _jsonable([list(r) for r in rows])}
-        _write_atomic(data_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_atomic(data_path, _json_text({"columns": columns, "rows": rows}) + "\n")
     paths.append(data_path)
     meta_path = os.path.join(outdir, f"{scenario}.meta.json")
-    _write_atomic(meta_path, json.dumps(_jsonable(meta), indent=2, sort_keys=True) + "\n")
+    _write_atomic(meta_path, _json_text(meta) + "\n")
     paths.append(meta_path)
     return paths
 
@@ -378,7 +421,14 @@ def _expected(args, profile):
     maximal-off-origin is required only once the schedule has three
     levels j with -j at or left of the punctured battery's deepest node
     (log_R - 64): a hat over a shallower level carries that level's
-    release atom, so the hats' series cannot flag zero before.
+    release atom, so the hats' series cannot flag zero before.  A
+    maxconst or linearcap profile is clamped at m (--c or --b): its
+    sublevel and level sets are empty only at the levels j > -m strictly
+    past the clamp, so its zero flag and in-domain verdict are required
+    only once the schedule has two such levels, where the series ends
+    in two exact zeros.  At the default --j-max that is --c=-511
+    (levels 512 and 1024) and up; from -512 on only 1024 is left and
+    the flag reads inconclusive or, deeper, positive.
     """
     log, other = _EXPECTED.get(args.command, (None, None))
     if args.command == "maximality" and profile.final_slope == 0.0:
@@ -390,6 +440,10 @@ def _expected(args, profile):
     if expected == "maximal-off-origin":
         deepest = min(phi.nodes[0][0] for phi in punctured_battery(args.log_R))
         if sum(-j <= deepest for j in geometric_schedule(args.j_max)) < 3:
+            return None
+    elif args.command in ("condition", "membership") and args.family in ("maxconst", "linearcap"):
+        m = profile.left_value  # the clamp
+        if sum(-j < m for j in geometric_schedule(args.j_max)) < 2:
             return None
     return expected
 

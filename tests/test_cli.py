@@ -392,7 +392,9 @@ def test_main_shares_one_parser_across_calls(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
-@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+@pytest.mark.parametrize(
+    "mask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664), (0o000, 0o666)]
+)
 def test_output_files_get_the_mode_open_would_give_them(tmp_path, mask, mode, capsys):
     old = os.umask(mask)
     try:
@@ -415,3 +417,53 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="refused"):
         cli._write_atomic(str(tmp_path / "x.csv"), "a,b\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_short_writes_still_land_the_whole_text(tmp_path, monkeypatch):
+    write = os.write
+    calls = []
+
+    def at_most_seven(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(cli.os, "write", at_most_seven)
+    text = "j,value\n" + "".join(f"{j},{j / 3!r}\n" for j in range(1, 40)) + "é\n"
+    path = tmp_path / "x.csv"
+    cli._write_atomic(str(path), text)
+    assert path.read_bytes() == text.encode()
+    assert len(calls) == -(-len(text.encode()) // 7)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_failed_os_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(fd, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "write", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_atomic(str(tmp_path / "x.csv"), "a,b\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bounded_families_need_two_levels_past_their_floor(tmp_path, capsys):
+    # max(log r, c) has empty sublevel sets only at the levels j > -c:
+    # from c = -512 on, the default schedule keeps only j = 1024 there,
+    # so the zero flag and the in-domain verdict are reported, not required.
+    # _expected is checked at every c; main runs at a stride of 17 and on
+    # both sides of each power of two, since its outcome only changes there
+    edges = {e + d for e in (-128, -256, -512, -1024) for d in (-1, 0, 1)}
+    runs = set(range(-100, -2001, -17)) | edges | {-2000}
+    for c in range(-100, -2001, -1):
+        for scenario in ("condition", "membership"):
+            argv = [scenario, "--family", "maxconst", f"--c={c}"]
+            if c in runs:
+                assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0, argv
+        args = cli.build_parser().parse_args(argv)
+        expected = cli._expected(args, cli._build_family(args)[0])
+        assert expected == ("in-domain" if c >= -511 else None), c
+    for b, flag in ((-511, "converging-to-zero"), (-512, None)):
+        argv = ["condition", "--family", "linearcap", f"--b={b}"]
+        assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0, argv
+        meta = json.loads((tmp_path / "condition.meta.json").read_text())
+        assert meta["result"]["expected_flag"] == flag
