@@ -242,10 +242,13 @@ def _build_family(args):
             raise UsageError(f"--alpha {args.alpha:g} with --log-R {log_R:g}: {e}") from None
         return profile, f"powertail({args.alpha:g})"
     if fam == "linearcap":
-        return (
-            linear_cap_profile(args.a, args.b, log_R),
-            f"linearcap({args.a:g},{args.b:g})",
-        )
+        a, b = args.a, args.b
+        if a < 0.0:
+            raise UsageError(f"--a must be >= 0, got {a:g}")
+        # the profile's knot b/a is placed only where the line beats b
+        if a > 0.0 and b < a * log_R and not math.isfinite(b / a):
+            raise UsageError(f"--b {b:g} over --a {a:g} puts the knot b/a at {b / a:g}")
+        return linear_cap_profile(a, b, log_R), f"linearcap({a:g},{b:g})"
     if fam == "random":
         rng = np.random.default_rng(args.seed)
         return random_profile(rng, log_R), f"random(seed={args.seed})"

@@ -6,6 +6,9 @@ second differences of sampled values; ``relaxation_envelope`` and
 ``oracle_capacity`` solve the discrete obstacle problem for the
 relative extremal function with projected SOR sweeps and only at the
 very end package the node values as a profile or read a slope off them.
+The contact set of that problem, the nodes up to the obstacle's last
+-1, is fixed, so the sweeps are SOR on the N cells right of it and use
+Young's optimal factor 2 / (1 + sin(pi / N)): about 4N sweeps per solve.
 With the exact path they share only the types they read and return;
 ``RadialCompact.require_inside`` rejects an empty compact, or one that
 reaches log_R, before any grid is built.
@@ -28,8 +31,9 @@ from .errors import (
 from .measures import RadialMeasure, TWO_PI
 from .profiles import ConvexProfile, FiniteValue, RadialCompact, NEG_INF
 
-# PSOR needs O(nodes^2) work; the largest grid the acceptance suite and
-# the default CLI scenarios build has 6,652 nodes
+# PSOR needs O(nodes * free cells) work (about 4 * free cells sweeps of
+# every node); the largest grid the acceptance suite and the default CLI
+# scenarios build has 6,652 nodes
 MAX_GRID_NODES = 20_000
 
 # a sweep that moves no node by more than this ends the relaxation
@@ -134,7 +138,11 @@ def _psor_solve(
     performs the update min(ob, v + omega * (0.5 * (l + r) - v))
     one IEEE operation at a time in that order, so the iterates, the
     stopping sweep and the NotConverged residual are the same floats as
-    gathering each colour through index arrays.  Node 0 is never updated:
+    gathering each colour through index arrays.  The factor is
+    omega = 2 / (1 + sin(pi / N)) for the N = m - c cells right of the
+    last node c where the obstacle is -1: the nodes up to c stay at -1,
+    so this is SOR on the free cells, and Young's factor for them takes
+    about 4N sweeps (4m with all m cells).  Node 0 is never updated:
     the grid check below puts nodes 0-2 at least two cells left of the
     compact's end, where the obstacle is -1, so node 0 starts at -1 and a
     flat (Neumann) update would keep it there; it enters the sweep only
@@ -165,7 +173,8 @@ def _psor_solve(
     ob = np.minimum.accumulate(o[::-1])[::-1]
     v = ob.copy()
     m = grid.count
-    omega = 2.0 / (1.0 + math.sin(math.pi / m))
+    free = m - int(np.flatnonzero(ob == -1.0)[-1])
+    omega = 2.0 / (1.0 + math.sin(math.pi / free))
     if max_sweeps is None:
         max_sweeps = 40 * m + 2000
     # red-black colours as strided views of v and ob: the nodes, their left
@@ -211,14 +220,14 @@ def relaxation_envelope(
 
     Solves for the largest grid function that is below the monotone
     envelope of the obstacle (-1 on K, 0 at the boundary node) and
-    discretely convex, sweeping red-black with the optimal
-    overrelaxation factor 2 / (1 + sin(pi / cells)) until a full sweep
-    moves no node by more than SWEEP_TOL.  Each colour is updated in
-    place on strided views of the node values, with the floats of the
-    plain gather-and-scatter sweep.  ``max_sweeps`` (default
-    40 * cells + 2000) bounds the sweeps; NotConverged when it runs out.
-    The fixed point is thinned to its slope-jump knots and returned as
-    a profile.
+    discretely convex, sweeping red-black with the overrelaxation factor
+    2 / (1 + sin(pi / N)), optimal for the N cells right of the last node
+    on K, until a full sweep moves no node by more than SWEEP_TOL.  Each
+    colour is updated in place on strided views of the node values, with
+    the floats of the plain gather-and-scatter sweep.  ``max_sweeps``
+    (default 40 * cells + 2000) bounds the sweeps; NotConverged when it
+    runs out.  The fixed point is thinned to its slope-jump knots and
+    returned as a profile.
     """
     v = _psor_solve(K, log_R, grid, max_sweeps)
     return _profile_from_grid(grid.nodes, v, log_R)

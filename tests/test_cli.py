@@ -288,6 +288,11 @@ def test_h_of_a_tenth_or_more_is_a_usage_error(tmp_path, capsys, argv):
         ["condition", "--family", "powertail", "--alpha", "1e-300"],
         ["condition", "--family", "powertail", "--log-R", "-1"],
         ["maximality", "--family", "powertail", "--log-R=-0.001"],
+        ["condition", "--family", "linearcap", "--a=-1"],
+        ["membership", "--family", "linearcap", "--a=-1e-320"],
+        ["condition", "--family", "linearcap", "--a=1e-320"],
+        ["condition", "--family", "linearcap", "--a=1e-300", "--b=-1e10"],
+        ["maximality", "--family", "linearcap", "--a=1e-320", "--log-R=-1", "--b=-2"],
     ],
     ids=" ".join,
 )
@@ -297,6 +302,31 @@ def test_family_options_outside_their_domain_are_usage_errors(tmp_path, capsys, 
     assert "Traceback" not in err
     assert len([ln for ln in err.splitlines() if ln.startswith("usage error:")]) == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_linearcap_slope_and_knot_are_checked_before_the_profile(tmp_path, capsys):
+    # a negative slope used to exit 2 (MonotonicityViolation) and a knot
+    # b/a that overflows to -inf ended in a traceback
+    for argv, line in [
+        (["--a=-1"], "usage error: --a must be >= 0, got -1"),
+        (["--a=1e-300", "--b=-1e10"],
+         "usage error: --b -1e+10 over --a 1e-300 puts the knot b/a at -inf"),
+    ]:
+        argv = ["--output-dir", str(tmp_path), "condition", "--family", "linearcap", *argv]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--a", "0"], ["--a=-0.0"], ["--a=1e-320", "--b=1"], ["--a=1e-300", "--b=-1e8"]],
+    ids=" ".join,
+)
+def test_linearcap_edges_that_build_a_profile_pass(tmp_path, argv):
+    # zero slope (of either sign) and b >= a * log_R give the constant b;
+    # a knot b/a that stays finite is placed however deep
+    argv = ["--output-dir", str(tmp_path), "condition", "--family", "linearcap", *argv]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from radialma import (
     relaxation_envelope,
     sample_analytic,
 )
+from radialma import oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,6 +214,33 @@ def test_relaxation_reports_nonconvergence():
         relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=3)
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+
+
+@pytest.mark.parametrize("h, budget", [(1e-2, 600), (2e-3, 3000)])
+def test_overrelaxation_fits_the_free_cells_sweep_budget(h, budget, monkeypatch):
+    # The factor tuned to the cells right of the last contact needs about
+    # 4 * (free cells) sweeps: 403 and 2,013 here.  Tuned to all cells it
+    # needs 3,267 and 16,369 and runs out of either budget.
+    K = annulus(-8.0, -1.0)
+    grid = Grid1D.from_bounds(-8.125, 0.0, h)
+    env = relaxation_envelope(K, 0.0, grid, max_sweeps=budget)
+    hull = extremal_profile(K, 0.0)
+    ts = np.linspace(-8.0, -1e-3, 300)
+    worst = max(abs(env.value(float(t)) - hull.value(float(t))) for t in ts)
+    assert worst <= 10 * h
+
+    grids = []
+    solve = oracle._psor_solve
+
+    def budgeted(K, log_R, grid, max_sweeps):
+        grids.append(grid)
+        return solve(K, log_R, grid, budget)
+
+    monkeypatch.setattr(oracle, "_psor_solve", budgeted)
+    got = oracle_capacity(K, 0.0, 1, h=h)
+    want = capacity(K, 0.0, 1)
+    assert grids == [grid]
+    assert abs(got - want) <= 10 * h * want
 
 
 def test_too_coarse_grid_is_a_typed_error():

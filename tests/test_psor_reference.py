@@ -4,8 +4,9 @@
 with buffers allocated once.  Its arithmetic is the loop's, operation by
 operation, so these tests pin it bit for bit to the literal loop kept
 here as the reference: gather each colour through an index array, relax,
-project onto the obstacle and scatter back.  The stopping sweep and the
-``NotConverged`` residual must match as well.
+project onto the obstacle and scatter back.  Both take the overrelaxation
+factor from the number of cells right of the last contact node.  The
+stopping sweep and the ``NotConverged`` residual must match as well.
 """
 import math
 
@@ -29,7 +30,8 @@ def reference_psor(K, log_R, grid, max_sweeps=None):
     ob = np.minimum.accumulate(o[::-1])[::-1]
     v = ob.copy()
     m = grid.count
-    omega = 2.0 / (1.0 + math.sin(math.pi / m))
+    contact = int(np.flatnonzero(ob == -1.0)[-1])
+    omega = 2.0 / (1.0 + math.sin(math.pi / (m - contact)))
     if max_sweeps is None:
         max_sweeps = 40 * m + 2000
     odd = np.arange(1, m, 2)
