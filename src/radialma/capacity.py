@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import MassOverflow
 from .measures import RadialMeasure, _check_dimension, _mass, ma_measure
 from .profiles import ConvexProfile, FiniteValue, RadialCompact, _check_level, _interval_compact
-from .series import DiagnosticSeries, build_series, geometric_schedule
+from .series import DEFAULT_SCHEDULE, DiagnosticSeries, build_series
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def _condition_series(
     set_bounds,
     schedule,
 ) -> DiagnosticSeries:
-    """j^n * cap_n(set at level -j) over the schedule (by default
-    ``geometric_schedule()``), inf where the set fills the ball.
+    """j^n * cap_n(set at level -j) over the schedule, inf where the
+    set fills the ball.
 
     ``set_bounds`` is the profile's private helper behind ``sublevel``
     or ``level_set``: it gives the set's one interval, or None when the
@@ -93,7 +93,7 @@ def _condition_series(
     log_R = profile.log_R
     entries = []
     touched = 0
-    for j in geometric_schedule() if schedule is None else schedule:
+    for j in schedule:
         # the same test _check_level makes, here only to save it a call
         # per level on the normal path
         if not j > 0.0:
@@ -125,7 +125,7 @@ def _condition_series(
 def condition_sublevel(
     profile: ConvexProfile,
     n: int,
-    schedule=None,
+    schedule=DEFAULT_SCHEDULE,
 ) -> DiagnosticSeries:
     """Series j^n * cap_n({u <= -j}) over the schedule, with its flag.
 
@@ -139,7 +139,7 @@ def condition_sublevel(
 def condition_level(
     profile: ConvexProfile,
     n: int,
-    schedule=None,
+    schedule=DEFAULT_SCHEDULE,
 ) -> DiagnosticSeries:
     """Series j^n * cap_n({u == -j}) over the schedule, with its flag."""
     return _condition_series(profile, n, profile._level_bounds, schedule)

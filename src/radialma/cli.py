@@ -36,6 +36,7 @@ from .errors import (
     GridTooCoarse,
     GridTooLarge,
     MassOverflow,
+    NonStabilized,
     OutOfDomain,
     RadialMAError,
 )
@@ -786,8 +787,10 @@ def main(argv=None) -> int:
             if s is not None:
                 print(s.to_csv(), file=sys.stderr)
         return 2
-    except (UsageError, GridTooLarge, GridTooCoarse) as e:
-        # an oracle grid too large or too coarse is a bad --h, not a failure
+    except (UsageError, GridTooLarge, GridTooCoarse, NonStabilized) as e:
+        # an oracle grid too large or too coarse is a bad --h, and a clamp
+        # deeper than 2^20 an input the nonpolar schedule cannot reach:
+        # neither is a failure
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (RadialMAError, AssertionError) as e:

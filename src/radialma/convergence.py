@@ -36,9 +36,9 @@ from .profiles import ConvexProfile, RadialCompact, NEG_INF
 from .series import (
     CONVERGING_TO_POSITIVE,
     CONVERGING_TO_ZERO,
+    DEFAULT_SCHEDULE,
     DiagnosticSeries,
     build_series,
-    geometric_schedule,
 )
 
 
@@ -139,10 +139,9 @@ def random_decreasing_sequence(
     )
 
 
-def check_decreasing(
-    seq: ProfileSequence, ks: Sequence[int], tol: float = 1e-9
-) -> None:
-    """Spot-check that members decrease along ks and stay above the limit."""
+def check_decreasing(seq: ProfileSequence, ks: Sequence[int]) -> None:
+    """Spot-check that members decrease along ks and stay above the limit,
+    with a slack of 1e-9 relative to the limit's value."""
     limit = seq.limit
     t0 = limit.breakpoints[0][0]
     ts = [NEG_INF, *(t for t, _ in limit.breakpoints)]
@@ -154,7 +153,7 @@ def check_decreasing(
     for t in ts:
         lv = limit.value(t)
         finite = math.isfinite(lv)
-        slack = tol * (1.0 + (abs(lv) if finite else 0.0))
+        slack = 1e-9 * (1.0 + (abs(lv) if finite else 0.0))
         slacks.append(slack)
         lows.append(lv - slack if finite else NEG_INF)
     for k in ks:
@@ -206,7 +205,7 @@ def truncation_analysis(
     profile: ConvexProfile,
     K: RadialCompact,
     n: int,
-    schedule=None,
+    schedule=DEFAULT_SCHEDULE,
 ) -> HarnessReport:
     """Total vs nonpolar mass on K for the truncations, split by level.
 
@@ -229,8 +228,6 @@ def truncation_analysis(
     structural release mass and no atom classified by value have the
     same terms, so they share one (total, level, interior) row of fsums.
     """
-    if schedule is None:
-        schedule = geometric_schedule()
     np_m = nonpolar_part(profile, n)
     np_mass = np_m.mass_on(K)
     _, atoms = _knot_atoms(profile, n)
@@ -337,7 +334,7 @@ def weak_convergence_test(
     seq: ProfileSequence,
     phis: Sequence[RadialTestFunction],
     n: int,
-    k_schedule=None,
+    k_schedule=DEFAULT_SCHEDULE,
     check_monotone: bool = True,
 ) -> HarnessReport:
     """Integrals against each phi along the sequence vs the nonpolar target.
@@ -352,8 +349,6 @@ def weak_convergence_test(
     mass piling up near the edge sits outside every compact and the
     battery may not see it.
     """
-    if k_schedule is None:
-        k_schedule = geometric_schedule(1024)
     if check_monotone:
         check_decreasing(seq, k_schedule)
     limit = seq.limit
@@ -398,7 +393,7 @@ def setwise_gap(
     seq: ProfileSequence,
     K: RadialCompact,
     n: int,
-    k_schedule=None,
+    k_schedule=DEFAULT_SCHEDULE,
 ) -> HarnessReport:
     """Masses on a fixed compact along the sequence vs the nonpolar mass.
 
@@ -406,8 +401,6 @@ def setwise_gap(
     force setwise convergence: the counterexample sequence keeps mass 0
     on the closed unit ball while the target is (2*pi)^n.
     """
-    if k_schedule is None:
-        k_schedule = geometric_schedule(1024)
     check_decreasing(seq, k_schedule)
     limit = seq.limit
     np_m = nonpolar_part(limit, n)
@@ -431,18 +424,19 @@ def setwise_gap(
     )
 
 
-def _pruned_pairings(phi, a, b, window, first, levels):
-    """Entries of ``maximality_check``'s series for one phi: per level,
-    the fsum of the nonzero terms of its truncated measure against phi.
+def _level_sums(levels, o, phi, a, b, terms, first=0):
+    """Per level of ``_truncation_ladder``, (j, fsum of its measure's
+    terms against a test function).
 
-    ``window`` holds the knot atoms inside phi's open support (a, b),
-    starting at atom index ``first``; a level keeps those from its
-    ``start`` on, and its release atom when that lies inside (a, b).
-    fsum's exact rounding does not depend on the order of the terms.
+    The terms are the origin mass times ``o``, the release atom's mass
+    times ``phi`` at it when the release lies in the open interval
+    (a, b), and the products ``terms`` of the knot atoms the level
+    keeps; ``terms[0]`` belongs to atom index ``first``, and a level
+    keeps the atoms from its ``start`` on.  fsum's exact rounding does
+    not depend on the order of the terms.  Levels with no release term
+    and the same origin mass and start share one fsum.
     """
-    o = phi.origin_value
-    prods = [m * phi.value(t) for t, m in window]
-    size = len(prods)
+    size = len(terms)
     entries = []
     key = None
     for j, _, origin, release, start in levels:
@@ -451,11 +445,11 @@ def _pruned_pairings(phi, a, b, window, first, levels):
         k = 0 if k < 0 else size if k > size else k
         if release is not None and a < release[0] < b:
             t, m = release
-            value = math.fsum([origin * o, m * phi.value(t)] + prods[k:])
+            value = math.fsum([origin * o, m * phi(t)] + terms[k:])
             key = None
         elif key != (origin, k):
             key = (origin, k)
-            value = math.fsum([origin * o] + prods[k:])
+            value = math.fsum([origin * o] + terms[k:])
         entries.append((j, value))
     return entries
 
@@ -464,15 +458,14 @@ def maximality_check(
     profile: ConvexProfile,
     n: int,
     phis: Sequence[RadialTestFunction] | None = None,
-    schedule=None,
-    exhaustion: Sequence[RadialCompact] | None = None,
+    schedule=DEFAULT_SCHEDULE,
 ) -> HarnessReport:
     """Radial maximality (away from the origin): vanishing nonpolar part.
 
-    Checks that NP(dd^c u)^n carries no mass on an exhaustion and that
-    the truncated measures integrate to 0 against test functions
-    supported off the origin; the level-set capacity condition is
-    reported as the hypothesis series.
+    Checks that NP(dd^c u)^n carries no mass on the standard exhaustion
+    and that the truncated measures integrate to 0 against test
+    functions supported off the origin; the level-set capacity condition
+    is reported as the hypothesis series.
 
     The truncated measures are read from ``_truncation_ladder``, so no
     clamped copy or measure is built.  Each phi is 0 outside the open
@@ -481,20 +474,16 @@ def maximality_check(
     skips (an all-zero fsum is +0.0).  Phi is evaluated only at the knot
     atoms inside (a, b), found by bisection, and at the release atoms
     inside it; each entry is the fsum ``RadialMeasure.integrate`` takes
-    over the same nonzero terms, hence the same float.  Consecutive
-    levels that keep the same terms share one fsum.  The all-zero series
-    of a phi that meets no atom is built once per call; each such phi
-    gets a new series over its entries, flag and metadata, relabelled
-    with the phi's label.
+    over the same nonzero terms, hence the same float, summed by
+    ``_level_sums`` as ``cegrell_f_diagnostic`` sums its masses.  The
+    all-zero series of a phi that meets no atom is built once per call;
+    each such phi gets a new series over its entries, flag and metadata,
+    relabelled with the phi's label.
     """
-    if schedule is None:
-        schedule = geometric_schedule()
     if phis is None:
         phis = punctured_battery(profile.log_R)
-    if exhaustion is None:
-        exhaustion = standard_exhaustion(profile.log_R)
     np_m = nonpolar_part(profile, n)
-    np_masses = [np_m.mass_on(K) for K in exhaustion]
+    np_masses = [np_m.mass_on(K) for K in standard_exhaustion(profile.log_R)]
     np_zero = np_m.total_mass == 0.0
     hypothesis = condition_level(profile, n, schedule)
     conclusion = []
@@ -530,7 +519,8 @@ def maximality_check(
                 "j", zero.entries, zero.flag, {**zero.metadata, "phi": phi.label}
             )
         else:
-            entries = _pruned_pairings(phi, a, b, atoms[first:last], first, levels)
+            terms = [m * phi.value(t) for t, m in atoms[first:last]]
+            entries = _level_sums(levels, o, phi.value, a, b, terms, first)
             s = build_series(
                 "j", entries, target=0.0, extra_metadata={"phi": phi.label}
             )
@@ -557,8 +547,7 @@ def maximality_check(
 def ma_domain_membership(
     profile: ConvexProfile,
     n: int,
-    exhaustion: Sequence[RadialCompact] | None = None,
-    schedule=None,
+    schedule=DEFAULT_SCHEDULE,
 ) -> HarnessReport:
     """Membership test for the natural domain of the Monge-Ampere operator.
 
@@ -566,10 +555,8 @@ def ma_domain_membership(
     condition puts the function in the domain; a positive flag yields
     no verdict either way.
     """
-    if exhaustion is None:
-        exhaustion = standard_exhaustion(profile.log_R)
     np_m = nonpolar_part(profile, n)
-    np_masses = [np_m.mass_on(K) for K in exhaustion]
+    np_masses = [np_m.mass_on(K) for K in standard_exhaustion(profile.log_R)]
     radon = all(math.isfinite(m) for m in np_masses)
     hypothesis = condition_sublevel(profile, n, schedule)
     if hypothesis.flag == CONVERGING_TO_ZERO and radon:
@@ -595,19 +582,18 @@ def ma_domain_membership(
 def cegrell_f_diagnostic(
     profile: ConvexProfile,
     n: int,
-    schedule=None,
+    schedule=DEFAULT_SCHEDULE,
 ) -> HarnessReport:
     """Class-F style diagnostic: boundary limit 0, bounded total masses.
 
     The truncations are the canonical bounded approximants; for a
     piecewise-linear radial profile their total mass is (2*pi*s)^n with
     s the final slope, so the series is constant and the supremum is
-    finite whenever the profile is admissible.
+    finite whenever the profile is admissible.  Each level's total
+    mass is ``_level_sums`` with unit weights over the atom masses.
     """
     from .errors import NotAdmissible
 
-    if schedule is None:
-        schedule = geometric_schedule()
     bl = profile.boundary_limit
     scale = 1.0 + max(abs(v) for _, v in profile.breakpoints)
     if abs(bl) > 1e-12 * scale:
@@ -615,10 +601,8 @@ def cegrell_f_diagnostic(
             f"boundary limit {bl} is not 0; not a candidate for class F"
         )
     masses = [m for _, m in _knot_atoms(profile, n)[1]]
-    entries = []
-    for j, _, origin, release, start in _truncation_ladder(profile, n, schedule):
-        terms = [origin] if release is None else [origin, release[1]]
-        entries.append((j, math.fsum(terms + masses[start:])))
+    levels = _truncation_ladder(profile, n, schedule)
+    entries = _level_sums(levels, 1.0, lambda t: 1.0, NEG_INF, math.inf, masses)
     s = build_series("j", entries, extra_metadata={"series": "total_mass"})
     sup_mass = max(v for _, v in entries)
     return HarnessReport(
@@ -631,26 +615,17 @@ def cegrell_f_diagnostic(
     )
 
 
-def generalized_condition(
-    seq: ProfileSequence,
-    n: int,
-    j_schedule=None,
-    k_schedule=None,
-) -> DiagnosticSeries:
+def generalized_condition(seq: ProfileSequence, n: int) -> DiagnosticSeries:
     """Uniform-in-k sublevel masses: j -> sup_k mass of (dd^c u_k)^n
-    on {u_k <= -j}.
+    on {u_k <= -j}, with j and k both over ``DEFAULT_SCHEDULE``.
 
     The sequence-level strengthening of the capacity condition; a zero
     flag supports convergence for the whole sequence at once.
     """
-    if j_schedule is None:
-        j_schedule = geometric_schedule()
-    if k_schedule is None:
-        k_schedule = geometric_schedule(1024)
-    profs = [seq.member(k) for k in k_schedule]
+    profs = [seq.member(k) for k in DEFAULT_SCHEDULE]
     members = [(p, ma_measure(p, n)) for p in profs]
     entries = []
-    for j in j_schedule:
+    for j in DEFAULT_SCHEDULE:
         sup = 0.0
         for prof, mk in members:
             sub = prof.sublevel(float(-j))

@@ -3,10 +3,11 @@
 The analytic families Log, MaxConst and LinearCap are themselves
 piecewise linear, so sampling them is exact; PowerTail(alpha) is the
 profile -(-t)^alpha and gets sampled on a grid with a node-wise
-convexity check.  ``power_tail_profile`` places its nodes on a
-geometric value ladder so the clamp levels -1, -2, -4, ... of the
-doubling truncation schedule land exactly on nodes and the deepest node
-value is exactly the scheduled bottom.
+convexity check.  ``power_tail_profile`` places its knots on a
+geometric value ladder from -2^-6 down to -1024, four per octave, so the
+clamp levels -1, -2, -4, ..., -1024 of the doubling truncation schedule
+land exactly on knots and the deepest knot value is exactly the
+schedule's bottom.
 
 The default exhaustion and batteries are immutable tuples that every
 harness call asks for, so each is built once per ``log_R`` and shared.
@@ -14,7 +15,6 @@ harness call asks for, so each is built once per ``log_R`` and shared.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,20 +90,20 @@ def linear_cap_profile(a: float, b: float, log_R: float = 0.0) -> ConvexProfile:
     return make_profile(((b / a, b),), FiniteValue(b), a, log_R)
 
 
-def sample_analytic(family, grid=None, log_R: float = 0.0) -> ConvexProfile:
-    """Piecewise-linear profile of an analytic family.
+def sample_analytic(family, grid=None) -> ConvexProfile:
+    """Piecewise-linear profile of an analytic family on the unit ball.
 
     Log, MaxConst and LinearCap are exactly piecewise linear and ignore
     the grid.  PowerTail requires a strictly increasing grid of negative
-    t below log_R; its samples are checked node-wise for convexity and
-    the final slope continues the analytic tangent at the last node.
+    t; its samples are checked node-wise for convexity and the final
+    slope continues the analytic tangent at the last node.
     """
     if isinstance(family, Log):
-        return log_profile(log_R)
+        return log_profile()
     if isinstance(family, MaxConst):
-        return max_const_profile(family.c, log_R)
+        return max_const_profile(family.c)
     if isinstance(family, LinearCap):
-        return linear_cap_profile(family.a, family.b, log_R)
+        return linear_cap_profile(family.a, family.b)
     if isinstance(family, PowerTail):
         alpha = family.alpha
         if not 0.0 < alpha < 1.0:
@@ -111,51 +111,42 @@ def sample_analytic(family, grid=None, log_R: float = 0.0) -> ConvexProfile:
         if grid is None:
             raise ValueError("PowerTail sampling requires a grid")
         ts = [float(t) for t in grid]
-        if not ts or any(t >= min(0.0, log_R) for t in ts):
-            raise ValueError("PowerTail grid must be negative and below log_R")
+        if not ts or any(t >= 0.0 for t in ts):
+            raise ValueError("PowerTail grid must be negative")
         pairs = tuple((t, -((-t) ** alpha)) for t in ts)
         final = alpha * (-ts[-1]) ** (alpha - 1.0)
         try:
-            return make_profile(pairs, FiniteValue(pairs[0][1]), final, log_R)
+            return make_profile(pairs, FiniteValue(pairs[0][1]), final)
         except ConvexityViolation as exc:
             raise NotConvexOnGrid(str(exc)) from exc
     raise TypeError(f"unknown family {family!r}")
 
 
-def power_tail_profile(
-    alpha: float,
-    v_max: float = 1024.0,
-    log_R: float = 0.0,
-    per_octave: int = 4,
-) -> ConvexProfile:
-    """PowerTail profile with nodes on a geometric value ladder.
+def power_tail_profile(alpha: float, log_R: float = 0.0) -> ConvexProfile:
+    """PowerTail profile with knots on a geometric value ladder.
 
-    Node values are -2^(m/per_octave) from -2^-6 down to exactly -v_max
-    (v_max a power of two), positions t = -(-v)^(1/alpha).  Truncation
-    at any power-of-two level up to v_max then clamps exactly at a node,
-    and the minimum equals -v_max exactly, so the truncation sequence
-    stabilizes with zero error once the level passes v_max.
+    Knot values are -2^(m/4), four per octave, from -2^-6 down to
+    exactly -1024, at positions t = -(-v)^(1/alpha).  Truncation at any
+    power-of-two level up to 1024 then clamps exactly at a knot, and the
+    minimum equals -1024 exactly, so the truncation sequence stabilizes
+    with zero error once the level passes 1024.
 
     The knots ignore log_R, so OutOfDomain is raised when the top knot
     -(2^-6)^(1/alpha) is not left of log_R, and when alpha is so small
-    that the deepest knot -v_max^(1/alpha) is not a float.
+    that the deepest knot -1024^(1/alpha) is not a float.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
-    q = per_octave
-    m_top = round(q * math.log2(v_max))
-    if 2.0 ** (m_top / q) != v_max:
-        raise ValueError(f"v_max must be a power of two, got {v_max}")
     inv = 1.0 / alpha
     pairs = []
     try:
-        for m in range(m_top, -6 * q - 1, -1):
-            v = -(2.0 ** (m / q))
+        for m in range(40, -25, -1):  # v from -2^10 up to -2^-6
+            v = -(2.0 ** (m / 4))
             t = -((-v) ** inv)
             pairs.append((t, v))
     except OverflowError:
         raise OutOfDomain(
-            f"alpha={alpha:g} puts the deepest knot -{v_max:g}^(1/alpha) "
+            f"alpha={alpha:g} puts the deepest knot -1024^(1/alpha) "
             "beyond the float range"
         ) from None
     if not pairs[-1][0] < log_R:
@@ -170,9 +161,9 @@ def power_tail_profile(
 
 
 @functools.lru_cache(maxsize=32)
-def standard_exhaustion(log_R: float = 0.0, count: int = 6) -> tuple[RadialCompact, ...]:
-    """Increasing closed balls exhausting the domain."""
-    return tuple(closed_ball(log_R - 4.0 * 2.0**-i) for i in range(count))
+def standard_exhaustion(log_R: float = 0.0) -> tuple[RadialCompact, ...]:
+    """Six increasing closed balls exhausting the domain."""
+    return tuple(closed_ball(log_R - 4.0 * 2.0**-i) for i in range(6))
 
 
 def random_compact(rng: np.random.Generator, log_R: float = 0.0) -> RadialCompact:
@@ -202,12 +193,11 @@ def _dyadic(x, bits: int):
 def random_profile(
     rng: np.random.Generator,
     log_R: float = 0.0,
-    max_knots: int = 6,
     bounded: bool | None = None,
     lattice: float | None = None,
     allow_clamp: bool = True,
 ) -> ConvexProfile:
-    """Seeded random convex nondecreasing profile.
+    """Seeded random convex nondecreasing profile with 1 to 6 knots.
 
     ``bounded`` forces the left end kind (None draws it).  With
     ``lattice`` = h the knots sit on {log_R - 1/4 - k*h}, so a grid
@@ -220,7 +210,7 @@ def random_profile(
     if bounded is None:
         bounded = bool(rng.random() < 0.5)
     for _ in range(32):
-        m = int(rng.integers(1, max_knots + 1))
+        m = int(rng.integers(1, 7))
         hi = log_R - 0.25
         if lattice is not None:
             steps = rng.choice(np.arange(1, int(8.0 / lattice)), size=m, replace=False)

@@ -45,6 +45,11 @@ def geometric_schedule(j_max: int = 1024) -> tuple[int, ...]:
     return tuple(out)
 
 
+# the levels 1, 2, 4, ..., 1024 every harness and condition series
+# reads when its caller names none
+DEFAULT_SCHEDULE: tuple[int, ...] = geometric_schedule()
+
+
 def _aitken_limit(v3: float, v2: float, v1: float) -> float:
     """Extrapolated limit from the last three values (v1 most recent)."""
     d1 = v2 - v3

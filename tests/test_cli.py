@@ -497,3 +497,39 @@ def test_bounded_families_need_two_levels_past_their_floor(tmp_path, capsys):
         assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0, argv
         meta = json.loads((tmp_path / "condition.meta.json").read_text())
         assert meta["result"]["expected_flag"] == flag
+
+
+DEEPEST = "usage error: nonpolar part did not stabilize with levels up to 1048576"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [scenario, "--family", "maxconst", f"--c={c}"]
+        for scenario in ("maximality", "membership", "weak-converge", "truncate-analyze")
+        for c in ("-1048577", "-2e6")
+    ]
+    + [["maximality", "--family", "linearcap", "--a", "1", "--b=-2e6"]],
+    ids=" ".join,
+)
+def test_a_clamp_deeper_than_the_nonpolar_schedule_is_a_usage_error(tmp_path, capsys, argv):
+    # the nonpolar part looks no deeper than 2^20, so a clamp below it
+    # leaves an atom it cannot reach: the input, not the paper, is at fault
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [DEEPEST]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [scenario, "--family", "maxconst", "--c=-1048576"]
+        for scenario in ("maximality", "membership", "weak-converge")
+    ]
+    + [["condition", "--family", "maxconst", "--c=-2e6"]],
+    ids=" ".join,
+)
+def test_a_clamp_the_nonpolar_schedule_reaches_still_passes(tmp_path, argv):
+    # a clamp at -2^20 releases on the deepest level; the condition
+    # series never builds the nonpolar part
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 0

@@ -411,6 +411,47 @@ def test_cegrell_entries_match_the_total_mass_loop(p, n, schedule):
     assert bits(report.details["sup_total_mass"]) == bits(max(v for _, v in entries))
 
 
+def at_boundary_limit_zero(p):
+    """p shifted to boundary limit 0 (up to rounding); a shift off the
+    value lattice may break convexity by an ulp, which leaves p as is."""
+    try:
+        return p.shift(-p.boundary_limit)
+    except ConvexityViolation:
+        return p
+
+
+def assert_cegrell_matches_the_total_mass_loop(p, n, schedule):
+    """cegrell's series and supremum against the total-mass loop, bit for
+    bit; a profile whose boundary limit is not 0 must raise NotAdmissible."""
+    got = outcome(lambda: cegrell_f_diagnostic(p, n, schedule).to_json_dict())
+    if got[0] == "raised":
+        assert got[1] == "NotAdmissible"
+        return
+    entries = reference_cegrell_entries(p, n, schedule)
+    report = cegrell_f_diagnostic(p, n, schedule)
+    (s,) = report.conclusion_series
+    want = reference_build_series("j", entries, extra_metadata={"series": "total_mass"})
+    assert bits(s.to_json_dict()) == bits(want.to_json_dict()), (p, schedule)
+    assert bits(report.details["sup_total_mass"]) == bits(max(v for _, v in entries))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cegrell_deep_and_knot_levels_match_the_total_mass_loop_on_the_families(n):
+    # left-tail and knot levels share one fsum in the pairing walk
+    # whenever they keep the same origin mass and atoms and release nothing
+    for p in map(at_boundary_limit_zero, fixed_profiles()):
+        for schedule in DEEP_SCHEDULES + (knot_level_schedule(p),):
+            assert_cegrell_matches_the_total_mass_loop(p, n, schedule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=profiles(), n=st.integers(1, 3), which=st.integers(0, len(DEEP_SCHEDULES)))
+def test_cegrell_deep_and_knot_levels_match_the_total_mass_loop(p, n, which):
+    p = at_boundary_limit_zero(p)
+    schedule = (DEEP_SCHEDULES + (knot_level_schedule(p),))[which]
+    assert_cegrell_matches_the_total_mass_loop(p, n, schedule)
+
+
 @pytest.mark.parametrize("schedule", HARNESS_SCHEDULES, ids=lambda s: f"to{max(s)}")
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_harnesses_match_the_references_on_the_families(n, schedule):

@@ -194,3 +194,21 @@ def test_nonpolar_part_has_no_origin_mass_and_the_full_atoms(p, n):
     np_part = nonpolar_part(p, n)
     assert np_part.origin_mass == 0.0
     assert np_part.atoms == ma_measure(p, n).atoms
+
+
+# -- the power-tail value ladder -------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.0098, 0.999))
+def test_power_tail_knots_carry_every_schedule_level_down_to_1024(alpha):
+    # the knots run from -2^-6 to -1024 at four per octave, so the
+    # profile bottoms out at -1024 and every doubling level up to 512 is
+    # a knot value whose sublevel set ends exactly on that knot
+    p = power_tail_profile(alpha)
+    assert p.left_value == -1024.0
+    assert p.truncate(1024.0) is p
+    knot_at = {v: t for t, v in p.breakpoints}
+    for j in geometric_schedule(512):
+        assert -j in knot_at, j
+        assert p.sublevel(float(-j)).sup == knot_at[-j], j
