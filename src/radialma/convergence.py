@@ -289,7 +289,7 @@ def truncation_analysis(
     )
     if rows_interior == rows_total:
         # nothing on the level at any j: the same fsums, flag and fit
-        series_interior = DiagnosticSeries(
+        series_interior = DiagnosticSeries._built(
             "j",
             series_total.entries,
             series_total.flag,
@@ -515,7 +515,7 @@ def maximality_check(
             # every term is zero: the same entries, flag and fit each time
             if zero is None:
                 zero = build_series("j", [(j, 0.0) for j, *_ in levels], target=0.0)
-            s = DiagnosticSeries(
+            s = DiagnosticSeries._built(
                 "j", zero.entries, zero.flag, {**zero.metadata, "phi": phi.label}
             )
         else:

@@ -35,6 +35,20 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension n must be {what}, got {n!r}")
 
 
+def _check_atoms(atoms: tuple) -> tuple:
+    """The atoms, checked: finite strictly increasing positions, masses > 0."""
+    prev = NEG_INF
+    for t, m in atoms:
+        if not math.isfinite(t):
+            raise ValueError("atom positions must be finite")
+        if not m > 0.0:
+            raise ValueError(f"atom at t={t} has nonpositive mass {m}")
+        if not t > prev:
+            raise ValueError("atom positions must be strictly increasing")
+        prev = t
+    return atoms
+
+
 @dataclass(frozen=True)
 class RadialMeasure:
     """Purely atomic radial measure: an origin mass plus sphere atoms.
@@ -51,15 +65,15 @@ class RadialMeasure:
         _check_dimension(self.n)
         if not self.origin_mass >= 0.0:
             raise ValueError(f"origin mass must be >= 0, got {self.origin_mass}")
-        prev = NEG_INF
-        for t, m in self.atoms:
-            if not math.isfinite(t):
-                raise ValueError("atom positions must be finite")
-            if not m > 0.0:
-                raise ValueError(f"atom at t={t} has nonpositive mass {m}")
-            if not t > prev:
-                raise ValueError("atom positions must be strictly increasing")
-            prev = t
+        _check_atoms(self.atoms)
+
+    @classmethod
+    def _built(cls, n, origin_mass, atoms) -> "RadialMeasure":
+        """A measure over data already checked: no __post_init__."""
+        measure = object.__new__(cls)
+        state = vars(measure)
+        state["n"], state["origin_mass"], state["atoms"] = n, origin_mass, atoms
+        return measure
 
     @property
     def total_mass(self) -> float:
@@ -129,8 +143,8 @@ def _knot_atoms(
 ) -> tuple[tuple[float, ...], tuple[tuple[float, float], ...]]:
     """Positions and (t, mass) atoms of the formula's slope jumps.
 
-    Built once per formula and n and shared by every clamped copy, since
-    a clamp never changes the jump at a knot it does not cover.
+    Built and checked once per formula and n and shared by every clamped
+    copy, since a clamp never changes the jump at a knot it does not cover.
     """
     tables = profile._knot_atom_tables
     table = tables.get(n)
@@ -140,7 +154,8 @@ def _knot_atoms(
             jump = _mass(n, s_after, s_before)
             if jump != 0.0:
                 atoms.append((t, jump))
-        table = tables.setdefault(n, (tuple(t for t, _ in atoms), tuple(atoms)))
+        atoms = _check_atoms(tuple(atoms))
+        table = tables.setdefault(n, (tuple(t for t, _ in atoms), atoms))
     return table
 
 
@@ -172,7 +187,7 @@ def _sphere_atoms(
     if profile.floor == NEG_INF:
         return atoms
     release, start = _release(profile, n, profile._floor_edge, positions)
-    return () if release is None else (release,) + atoms[start:]
+    return () if release is None else _check_atoms((release,)) + atoms[start:]
 
 
 def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
@@ -185,13 +200,13 @@ def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     knot right of it keeps the float-identical mass it has without the
     clamp.  The harnesses read the same data for a whole truncation
     schedule from ``_truncation_ladder``, which shares the release-atom
-    code.  Raises MassOverflow when (2*pi)^n or a mass is not a finite
-    float.
+    code.  The atoms come checked from the per-n table, so the measure
+    is not checked again.  Raises MassOverflow when (2*pi)^n or a mass
+    is not a finite float.
     """
     atoms = _sphere_atoms(profile, n)
-    if profile.floor == NEG_INF:
-        return RadialMeasure(n, _mass(n, profile.left_slope), atoms)
-    return RadialMeasure(n, 0.0, atoms)
+    origin = _mass(n, profile.left_slope) if profile.floor == NEG_INF else 0.0
+    return RadialMeasure._built(n, origin, atoms)
 
 
 def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
@@ -269,10 +284,11 @@ def nonpolar_part(
         edge = profile._floor_edge
     else:
         edge = NEG_INF  # truncate(J) leaves the profile unclamped at -J
-    missing = bisect_right(atoms, edge, key=lambda a: a[0])
+    # (t, m) <= (edge, inf) exactly when t <= edge, since every m is finite
+    missing = bisect_right(atoms, (edge, math.inf))
     if missing:
         raise NonStabilized(J, missing)
-    return RadialMeasure(n, 0.0, atoms)
+    return RadialMeasure._built(n, 0.0, atoms)
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,9 @@ _REL_AGREE = 1e-6
 
 def geometric_schedule(j_max: int = 1024) -> tuple[int, ...]:
     """Powers of two up to j_max: 1, 2, 4, ..."""
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    out = []
-    j = 1
-    while j <= j_max:
-        out.append(j)
-        j *= 2
-    return tuple(out)
+    if not 1 <= j_max < math.inf:
+        raise ValueError("j_max must be >= 1 and finite")
+    return tuple(2**k for k in range(int(j_max).bit_length()))
 
 
 # the levels 1, 2, 4, ..., 1024 every harness and condition series
@@ -120,6 +115,16 @@ def decide_flag(values: list[float]) -> tuple[str, dict]:
     return INCONCLUSIVE, meta
 
 
+def _check_entry(prev, j, v, floor: float) -> None:
+    """Index above ``prev`` (None first), value not NaN, not below ``floor``."""
+    if prev is not None and not j > prev:
+        raise ValueError(f"series indices must increase: {prev} -> {j}")
+    if not v >= floor:
+        if math.isnan(v):
+            raise ValueError(f"series value at {j} is NaN")
+        raise ValueError(f"mass series went negative at {j}: {v}")
+
+
 @dataclass(frozen=True)
 class DiagnosticSeries:
     """An indexed series with its convergence flag.
@@ -142,18 +147,18 @@ class DiagnosticSeries:
             INCONCLUSIVE,
         ):
             raise ValueError(f"unknown flag {self.flag!r}")
-        # one pass: index order, NaN, and a sign check unless the series
-        # is signed (an unsigned one rejects -inf as well)
         floor = -math.inf if self.metadata.get("signed") else 0.0
-        prev = None
-        for j, v in self.entries:
-            if prev is not None and not j > prev:
-                raise ValueError(f"series indices must increase: {prev} -> {j}")
-            prev = j
-            if not v >= floor:
-                if math.isnan(v):
-                    raise ValueError(f"series value at {j} is NaN")
-                raise ValueError(f"mass series went negative at {j}: {v}")
+        for prev, (j, v) in zip((None, *self.indices), self.entries):
+            _check_entry(prev, j, v, floor)
+
+    @classmethod
+    def _built(cls, index_name, entries, flag, metadata) -> "DiagnosticSeries":
+        """A series over entries already checked: no __post_init__."""
+        series = object.__new__(cls)
+        state = vars(series)
+        state["index_name"], state["entries"] = index_name, entries
+        state["flag"], state["metadata"] = flag, metadata
+        return series
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -189,20 +194,31 @@ def build_series(
 
     With a ``target`` the flag reads the deviations |value - target|
     (converging-to-zero then means the series reaches the target); the
-    raw values are what get stored either way.
+    raw values are what get stored either way.  A NaN target raises
+    ValueError, and so does an ``extra_metadata`` key the fit wrote.
     """
-    pairs = tuple([(float(j), float(v)) for j, v in entries])
-    if target is None:
-        flagged = [v for _, v in pairs]
-    else:
-        # the deviation of a value that is not finite is not finite
-        # either, and decide_flag drops both alike
-        flagged = [abs(v - target) for _, v in pairs]
+    if target is not None and math.isnan(target):
+        raise ValueError("series target is NaN")
+    floor = 0.0 if target is None else -math.inf
+    # one walk: convert, check (_check_entry runs only for an entry that
+    # fails its tests), and collect what the flag reads; a value that is
+    # not finite has no finite deviation either, and decide_flag drops it
+    pairs, flagged, prev = [], [], None
+    for j, v in entries:
+        j, v = float(j), float(v)
+        if not v >= floor or prev is not None and not j > prev:
+            _check_entry(prev, j, v, floor)
+        prev = j
+        pairs.append((j, v))
+        flagged.append(v if target is None else abs(v - target))
     flag, meta = decide_flag(flagged)
     if target is not None:
         meta["target"] = target
         meta["flag_reads"] = "abs(value - target)"
         meta["signed"] = True
     if extra_metadata:
+        for key in extra_metadata:
+            if key in meta or key in ("target", "flag_reads", "signed"):
+                raise ValueError(f"extra_metadata overwrites the fit's {key!r}")
         meta.update(extra_metadata)
-    return DiagnosticSeries(index_name, pairs, flag, meta)
+    return DiagnosticSeries._built(index_name, tuple(pairs), flag, meta)
