@@ -318,7 +318,7 @@ def scenario_counterexample(args):
             plateau(0.0, 0.5, 1.0, label="plateau@0"),
             hat(-0.5, 0.0, 0.5, 1.0, label="hat@0"),
         ]
-        wk = weak_convergence_test(seq, battery, n, ks, check_monotone=False)
+        wk = weak_convergence_test(seq, battery, n, ks)
         _require(
             wk.hypothesis_series.flag == CONVERGING_TO_ZERO,
             "sublevel_condition_zero_flag",
@@ -793,7 +793,7 @@ def main(argv=None) -> int:
         # neither is a failure
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (RadialMAError, AssertionError) as e:
+    except (RadialMAError, AssertionError, ValueError) as e:
         print(f"FAIL {scenario}: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     meta_full = {

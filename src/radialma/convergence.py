@@ -211,22 +211,20 @@ def truncation_analysis(
 
     Series (a) is the total mass of (dd^c max(u, -j))^n on K, flagged
     against the nonpolar target; series (b) is the part carried by
-    {u = -j}, flagged as a mass series.  Each truncated measure is
-    asserted to charge nothing below -j, so its total on K is exactly
-    interior + level.
+    {u = -j}, flagged as a mass series.  A truncated measure charges
+    nothing below -j, so its total on K is exactly interior + level.
 
     The levels come from ``_truncation_ladder``, so no clamped copy or
-    measure is built.  A knot atom's value and membership in K do not
-    depend on j and are computed once.  The profile is nondecreasing, so
-    the values of the knot atoms in K are too, and two bisections split
-    the atoms a level keeps into those below, on and above -j.  The atom
-    released by the clamp is identified structurally (``level`` exactly
-    when the clamp sits at -j), so no float comparison of interpolated
-    values is involved; a profile carrying a deeper clamp of its own
-    keeps its release atom classified by value: it lies inside
-    {u > -j}.  Consecutive levels with the same split, the same
-    structural release mass and no atom classified by value have the
-    same terms, so they share one (total, level, interior) row of fsums.
+    measure is built, and each level is split by its structure, not by
+    evaluating the profile.  The release atom lies on {u = -j} when the
+    clamp sits at -j, and otherwise on the profile's own higher clamp,
+    inside {u > -j}.  A nonzero origin mass occurs only at j = inf, on
+    {u = -inf}.  A kept knot atom lies right of the release, so above
+    -j, except on a bounded unclamped profile whose infimum is -j: the
+    atom ending its flat bottom lies on {u = -j}.  One bisection of the
+    knot atoms' values, which are nondecreasing and computed once, finds
+    it.  Consecutive levels keeping the same atoms and release and
+    origin masses share one (total, level, interior) row of fsums.
     """
     np_m = nonpolar_part(profile, n)
     np_mass = np_m.mass_on(K)
@@ -243,36 +241,21 @@ def truncation_analysis(
     key = row = None
     for j, clamp, origin, release, start in _truncation_ladder(profile, n, schedule):
         s = -j
-        on = None  # the release atom's mass, when the clamp sits at -j
-        extra = []  # the origin and the release atom, when classified by value
+        on, above = [], []  # the origin and release masses on and above -j
         if origin != 0.0 and K.contains_origin:
-            extra.append((origin, profile.left_value))
+            on = [origin]
         if release is not None and contains(release[0]):
-            t, m = release
             if clamp == s:
-                on = m
+                on = [release[1]]
             else:
-                extra.append((m, profile.value(t)))
-        # the kept atoms split into u < -j, u = -j and u > -j
+                above = [release[1]]
+        # the kept atoms: on -j up to ``top``, above it from there
         lo = bisect_left(on_K, start)
-        hi = bisect_left(values, s, lo)
-        top = bisect_right(values, s, hi)
-        if extra or key != (lo, hi, top, on):
-            key = None if extra else (lo, hi, top, on)
-            interior = masses[top:]
-            level = masses[hi:top] if on is None else [on] + masses[hi:top]
-            below = masses[lo:hi]
-            for m, v in extra:
-                if v > s:
-                    interior.append(m)
-                elif v == s:
-                    level.append(m)
-                else:
-                    below.append(m)
-            if below:  # every atom mass is positive
-                raise AssertionError(
-                    f"truncated measure charged {{u < -{j}}}: {math.fsum(below)}"
-                )
+        top = bisect_right(values, s, lo)
+        if key != (lo, top, on, above):
+            key = (lo, top, on, above)
+            interior = above + masses[top:]
+            level = on + masses[lo:top]
             row = (math.fsum(interior + level), math.fsum(level), math.fsum(interior))
         total, on_level, inside = row
         rows_total.append((j, total))
@@ -335,22 +318,22 @@ def weak_convergence_test(
     phis: Sequence[RadialTestFunction],
     n: int,
     k_schedule=DEFAULT_SCHEDULE,
-    check_monotone: bool = True,
 ) -> HarnessReport:
     """Integrals against each phi along the sequence vs the nonpolar target.
 
-    The hypothesis series is the scaled sublevel capacity condition of
-    the limit.  A zero hypothesis flag together with converging
-    conclusions is the direction this harness checks; nothing is
-    inferred from a positive hypothesis flag (the converse is false).
+    The sequence is first spot-checked to decrease along the schedule,
+    as ``setwise_gap`` checks it.  The hypothesis series is the scaled
+    sublevel capacity condition of the limit.  A zero hypothesis flag
+    together with converging conclusions is the direction this harness
+    checks; nothing is inferred from a positive hypothesis flag (the
+    converse is false).
 
     Profiles that climb steeply toward the boundary get a
     ``boundary_caution`` detail: the domain is open on the right, so
     mass piling up near the edge sits outside every compact and the
     battery may not see it.
     """
-    if check_monotone:
-        check_decreasing(seq, k_schedule)
+    check_decreasing(seq, k_schedule)
     limit = seq.limit
     np_m = nonpolar_part(limit, n)
     hypothesis = condition_sublevel(limit, n)

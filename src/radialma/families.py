@@ -1,13 +1,13 @@
 """Profile families, test-function batteries, and randomized generators.
 
-The analytic families Log, MaxConst and LinearCap are themselves
-piecewise linear, so sampling them is exact; PowerTail(alpha) is the
-profile -(-t)^alpha and gets sampled on a grid with a node-wise
-convexity check.  ``power_tail_profile`` places its knots on a
-geometric value ladder from -2^-6 down to -1024, four per octave, so the
-clamp levels -1, -2, -4, ..., -1024 of the doubling truncation schedule
-land exactly on knots and the deepest knot value is exactly the
-schedule's bottom.
+The profiles of log ||z||, max(log ||z||, c) and max(a log ||z||, b)
+are piecewise linear and built exactly.  PowerTail(alpha) is the
+profile -(-t)^alpha: ``sample_analytic`` samples it on a grid with a
+node-wise convexity check, and ``power_tail_profile`` places its knots
+on a geometric value ladder from -2^-6 down to -1024, four per octave,
+so the clamp levels -1, -2, -4, ..., -1024 of the doubling truncation
+schedule land exactly on knots and the deepest knot value is exactly
+the schedule's bottom.
 
 The default exhaustion and batteries are immutable tuples that every
 harness call asks for, so each is built once per ``log_R`` and shared.
@@ -38,30 +38,10 @@ from .profiles import (
 
 
 @dataclass(frozen=True)
-class Log:
-    """chi(t) = t, the profile of log ||z||."""
-
-
-@dataclass(frozen=True)
-class MaxConst:
-    """chi(t) = max(t, c)."""
-
-    c: float
-
-
-@dataclass(frozen=True)
 class PowerTail:
     """chi(t) = -(-t)^alpha for t < 0, with 0 < alpha < 1."""
 
     alpha: float
-
-
-@dataclass(frozen=True)
-class LinearCap:
-    """chi(t) = max(a*t, b) for a >= 0; a = 0 means the constant b."""
-
-    a: float
-    b: float
 
 
 def log_profile(log_R: float = 0.0) -> ConvexProfile:
@@ -90,36 +70,25 @@ def linear_cap_profile(a: float, b: float, log_R: float = 0.0) -> ConvexProfile:
     return make_profile(((b / a, b),), FiniteValue(b), a, log_R)
 
 
-def sample_analytic(family, grid=None) -> ConvexProfile:
-    """Piecewise-linear profile of an analytic family on the unit ball.
+def sample_analytic(family: PowerTail, grid) -> ConvexProfile:
+    """Piecewise-linear sample of PowerTail on the unit ball.
 
-    Log, MaxConst and LinearCap are exactly piecewise linear and ignore
-    the grid.  PowerTail requires a strictly increasing grid of negative
-    t; its samples are checked node-wise for convexity and the final
-    slope continues the analytic tangent at the last node.
+    The grid must be a strictly increasing sequence of negative t; the
+    samples are checked node-wise for convexity and the final slope
+    continues the analytic tangent at the last node.
     """
-    if isinstance(family, Log):
-        return log_profile()
-    if isinstance(family, MaxConst):
-        return max_const_profile(family.c)
-    if isinstance(family, LinearCap):
-        return linear_cap_profile(family.a, family.b)
-    if isinstance(family, PowerTail):
-        alpha = family.alpha
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"PowerTail needs 0 < alpha < 1, got {alpha}")
-        if grid is None:
-            raise ValueError("PowerTail sampling requires a grid")
-        ts = [float(t) for t in grid]
-        if not ts or any(t >= 0.0 for t in ts):
-            raise ValueError("PowerTail grid must be negative")
-        pairs = tuple((t, -((-t) ** alpha)) for t in ts)
-        final = alpha * (-ts[-1]) ** (alpha - 1.0)
-        try:
-            return make_profile(pairs, FiniteValue(pairs[0][1]), final)
-        except ConvexityViolation as exc:
-            raise NotConvexOnGrid(str(exc)) from exc
-    raise TypeError(f"unknown family {family!r}")
+    alpha = family.alpha
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"PowerTail needs 0 < alpha < 1, got {alpha}")
+    ts = [float(t) for t in grid]
+    if not ts or any(t >= 0.0 for t in ts):
+        raise ValueError("PowerTail grid must be negative")
+    pairs = tuple((t, -((-t) ** alpha)) for t in ts)
+    final = alpha * (-ts[-1]) ** (alpha - 1.0)
+    try:
+        return make_profile(pairs, FiniteValue(pairs[0][1]), final)
+    except ConvexityViolation as exc:
+        raise NotConvexOnGrid(str(exc)) from exc
 
 
 def power_tail_profile(alpha: float, log_R: float = 0.0) -> ConvexProfile:

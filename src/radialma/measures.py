@@ -167,13 +167,22 @@ def _release(
 
     The atom is (edge, (2*pi*sigma)^n) with sigma the formula slope
     there; a clamp that covers the whole ball releases nothing and keeps
-    no knot atom: (None, len(positions)).
+    no knot atom: (None, len(positions)).  The atom is checked by
+    ``_release_atom``.
     """
     if edge >= profile.log_R:
         return None, len(positions)
-    sigma = profile._formula_right_slope(edge)
-    assert sigma > 0.0, "clamp release point must have rising formula"
-    return (edge, _mass(n, sigma)), bisect_right(positions, edge)
+    mass = _mass(n, profile._formula_right_slope(edge))
+    return _release_atom(edge, mass), bisect_right(positions, edge)
+
+
+def _release_atom(edge: float, mass: float) -> tuple[float, float]:
+    """The release atom (edge, mass), checked as ``_check_atoms`` checks
+    a measure's atoms: a mass that underflows to 0.0 or an edge at -inf
+    raises its ValueError.  A valid atom costs one comparison."""
+    if not (mass > 0.0 and edge > NEG_INF):
+        _check_atoms(((edge, mass),))
+    return edge, mass
 
 
 def _sphere_atoms(
@@ -187,7 +196,7 @@ def _sphere_atoms(
     if profile.floor == NEG_INF:
         return atoms
     release, start = _release(profile, n, profile._floor_edge, positions)
-    return () if release is None else _check_atoms((release,)) + atoms[start:]
+    return () if release is None else (release,) + atoms[start:]
 
 
 def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
@@ -221,10 +230,11 @@ def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
     it unclamped (or on its own clamp), so those levels share one entry.
     A clamp releasing left of the first knot releases on the left tail:
     its atom is (edge, (2*pi*s)^n) with s the tail slope, the same mass
-    at every such level, and it keeps every knot atom (start 0).  The
-    branch reads the computed edge, so a crossing that rounds onto the
-    first knot takes the general path.  A level that is not positive
-    raises truncate's ValueError.
+    at every such level and checked by ``_release_atom`` as every release
+    atom is, and it keeps every knot atom (start 0).  The branch reads
+    the computed edge, so a crossing that rounds onto the first knot
+    takes the general path.  A level that is not positive raises
+    truncate's ValueError.
     """
     _check_dimension(n)
     positions, _ = _knot_atoms(profile, n)
@@ -240,7 +250,7 @@ def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
             if edge < t0:
                 if tail is None:
                     tail = _mass(n, profile._tail_slope)
-                yield (j, c, 0.0, (edge, tail), 0)
+                yield (j, c, 0.0, _release_atom(edge, tail), 0)
             else:
                 yield (j, c, 0.0, *_release(profile, n, edge, positions))
             continue

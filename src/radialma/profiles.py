@@ -666,7 +666,13 @@ class ConvexProfile:
         """max(chi, slope*t + intercept) for slope >= 0; still convex.
 
         An intercept of -inf is the line that is -inf everywhere, so the
-        profile comes back unchanged.
+        profile comes back unchanged.  Otherwise the line wins on at most
+        one interval (lo, hi), and one ``_assemble`` call builds the
+        result from the formula's knots left of lo, the crossing at lo
+        when lo is finite, the crossing at hi when hi < log_R, and the
+        formula's knots right of hi.  The tail is the line's when
+        lo = -inf and the final slope is the line's when hi = log_R; a
+        line that wins on the whole ball leaves one anchor knot on it.
         """
         if not math.isfinite(slope):
             raise ValueError("affine slope must be finite")
@@ -730,43 +736,18 @@ class ConvexProfile:
         lo, hi = cross_left(), cross_right()
         if hi <= lo:
             return self  # tangency or numerically empty overtake region
-        right_knots = tuple((t, v) for t, v in self.breakpoints if t > hi)
-        if hi >= self.log_R:
-            # the line wins up to the boundary
-            if lo == NEG_INF:
-                anchor = min(ts[0], self.log_R - 1.0)
-                out = ConvexProfile(
-                    ((anchor, line(anchor)),),
-                    MinusInfinity(slope),
-                    slope,
-                    self.log_R,
-                )
-            else:
-                left_knots = tuple((t, v) for t, v in self.breakpoints if t < lo)
-                bps = left_knots + ((lo, self._formula_value(lo)),)
-                out = self._assemble(bps, self.tail, slope, self.log_R)
-        else:
-            hi_pair = ((hi, self._formula_value(hi)),)
-            if right_knots and right_knots[0][0] == hi:
-                hi_pair = ()
-            if lo == NEG_INF:
-                out = self._assemble(
-                    hi_pair + right_knots,
-                    MinusInfinity(slope),
-                    self.final_slope,
-                    self.log_R,
-                )
-            else:
-                left_knots = tuple((t, v) for t, v in self.breakpoints if t < lo)
-                lo_pair = ((lo, self._formula_value(lo)),)
-                if left_knots and left_knots[-1][0] == lo:
-                    lo_pair = ()
-                out = self._assemble(
-                    left_knots + lo_pair + hi_pair + right_knots,
-                    self.tail,
-                    self.final_slope,
-                    self.log_R,
-                )
+        bps = [(t, v) for t, v in self.breakpoints if t < lo]
+        for x in (lo, hi):
+            if NEG_INF < x < self.log_R:
+                bps.append((x, self._formula_value(x)))
+        bps += [(t, v) for t, v in self.breakpoints if t > hi]
+        if not bps:
+            # the line wins on the whole ball
+            anchor = min(ts[0], self.log_R - 1.0)
+            bps = [(anchor, line(anchor))]
+        tail = MinusInfinity(slope) if lo == NEG_INF else self.tail
+        final = slope if hi >= self.log_R else self.final_slope
+        out = self._assemble(bps, tail, final, self.log_R)
         if self.floor == NEG_INF:
             return out
         return out._max_with_constant(self.floor)

@@ -329,6 +329,30 @@ def test_linearcap_edges_that_build_a_profile_pass(tmp_path, argv):
     assert cli.main(argv) == 0
 
 
+UNDERFLOWING_RELEASE = ["--family", "linearcap", "--a=1e-300", "--b=-1e8", "--n", "2"]
+
+
+@pytest.mark.parametrize("scenario", ["weak-converge", "truncate-analyze", "maximality"])
+def test_an_underflowing_release_atom_is_a_failure_not_a_traceback(tmp_path, scenario):
+    # each clamp of max(1e-300 * log r, -1e8) releases an atom whose mass
+    # (2*pi*1e-300)^2 underflows to 0.0, which the measure check rejects
+    r = run_cli([scenario, *UNDERFLOWING_RELEASE], tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [
+        f"FAIL {scenario}: ValueError: atom at t=-9.99999999995523e+299 "
+        "has nonpositive mass 0.0"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scenario", ["condition", "membership"])
+def test_an_underflowing_release_atom_leaves_the_capacity_scenarios_passing(
+    tmp_path, scenario
+):
+    assert cli.main(["--output-dir", str(tmp_path), scenario, *UNDERFLOWING_RELEASE]) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,10 +4,16 @@ A truncated profile is a copy that skips revalidation and shares its
 parent's formula-level caches and per-n knot-atom tables.  These
 properties pin it to a freshly validated profile with the same clamp,
 bit for bit, over seeded random draws and the named families.
+
+``truncation_analysis`` splits each level of ``_truncation_ladder`` into
+{u > -j} and {u = -j} by structure alone; the last properties pin the
+facts that split rests on, and the release-atom check the ladder shares
+with ``ma_measure``.
 """
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,12 +21,30 @@ from hypothesis import strategies as st
 
 from radialma import (
     ConvexProfile,
+    MinusInfinity,
+    cegrell_f_diagnostic,
+    closed_ball,
     geometric_schedule,
     log_profile,
     ma_measure,
+    make_profile,
+    maximality_check,
     power_tail_profile,
     random_profile,
+    truncation_analysis,
 )
+from radialma.measures import _knot_atoms, _truncation_ladder
+from test_ladder_reference import (
+    DEEP_SCHEDULES,
+    LADDER_SCHEDULES,
+    knot_level_schedule,
+    outcome,
+    reference_cegrell_entries,
+    reference_maximality_check,
+    reference_truncation_analysis,
+)
+from test_nonpolar_properties import fixed_profiles
+from test_nonpolar_properties import profiles as clamped_profiles
 
 SCHEDULE = geometric_schedule()
 NS = (1, 2, 3)
@@ -153,3 +177,70 @@ def test_shared_tables_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+# -- the facts the structural split rests on -----------------------------
+
+
+def split_schedules(p):
+    return LADDER_SCHEDULES + DEEP_SCHEDULES + (knot_level_schedule(p),)
+
+
+def check_structural_split(p, n, schedule, seen):
+    """Per ladder level: a nonzero origin mass only at j = inf on a
+    profile unbounded below; a release from a clamp other than -j above
+    -j; no kept knot atom below -j, and one at exactly -j only on the
+    flat bottom of a bounded unclamped profile whose infimum is -j."""
+    _, atoms = _knot_atoms(p, n)
+    flat_bottom = p.floor == -math.inf and p.left_value > -math.inf
+    for j, clamp, origin, release, start in _truncation_ladder(p, n, schedule):
+        s = -float(j)
+        if origin != 0.0:
+            assert j == math.inf and p.left_value == -math.inf, (p, j)
+            seen["origin"] += 1
+        if release is not None and clamp != s:
+            assert p.value(release[0]) > s, (p, j)
+            seen["own clamp"] += 1
+        for t, _ in atoms[start:]:
+            v = p.value(t)
+            assert v >= s, (p, j, t)
+            if v == s:
+                assert flat_bottom and p.left_value == s, (p, j, t)
+                seen["flat bottom"] += 1
+        seen["levels"] += 1
+
+
+def test_the_structural_split_holds_on_the_families():
+    seen = Counter()
+    for p in fixed_profiles():
+        for schedule in split_schedules(p):
+            for n in NS:
+                check_structural_split(p, n, schedule, seen)
+    # each rule is exercised, not only vacuously true
+    assert min(seen[k] for k in ("origin", "own clamp", "flat bottom")) > 0, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=clamped_profiles(),
+    n=st.integers(1, 3),
+    which=st.integers(0, len(LADDER_SCHEDULES) + len(DEEP_SCHEDULES)),
+)
+def test_the_structural_split_holds(p, n, which):
+    check_structural_split(p, n, split_schedules(p)[which], Counter())
+
+
+def test_an_underflowing_release_atom_raises_in_every_harness():
+    # the tail slope's atom (2*pi*1e-200)^2 underflows to 0.0; the ladder
+    # now rejects it as ma_measure does, with the per-level loops' message
+    p = make_profile([(-1.0, -1.0)], MinusInfinity(1e-200), final_slope=1.0)
+    K = closed_ball(-0.5)
+    raised = ("raised", "ValueError", "atom at t=-1e+200 has nonpositive mass 0.0")
+    assert outcome(ma_measure, p.truncate(2.0), 2) == raised
+    schedule = geometric_schedule()
+    for got, want in [
+        (lambda: truncation_analysis(p, K, 2), lambda: reference_truncation_analysis(p, K, 2, schedule)),
+        (lambda: maximality_check(p, 2), lambda: reference_maximality_check(p, 2, schedule)),
+        (lambda: cegrell_f_diagnostic(p, 2), lambda: reference_cegrell_entries(p, 2, schedule)),
+    ]:
+        assert outcome(got) == outcome(want) == raised
