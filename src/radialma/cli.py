@@ -193,8 +193,6 @@ def _cell(v):
         return ""
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -274,7 +272,7 @@ def scenario_counterexample(args):
     report = setwise_gap(seq, K, n, ks)
     s = report.conclusion_series[0]
     target = report.details["np_mass_on_K"]
-    rows = [(int(k), v, target, target - v) for k, v in zip(s.indices, s.values)]
+    rows = [(int(k), v, target, target - v) for k, v in s.entries]
     _require(
         all(v == 0.0 for _, v, _, _ in rows),
         "mass_on_K_exactly_zero",
@@ -483,7 +481,7 @@ def scenario_condition(args, profile, tag):
         if args.which == "level"
         else condition_sublevel(profile, args.n, schedule)
     )
-    rows = list(zip(cond.indices, cond.values))
+    rows = list(cond.entries)
     meta = {"which": args.which, "flag": cond.flag, "series_metadata": cond.metadata}
     return ["j", "scaled_capacity"], rows, meta, [cond]
 
@@ -502,11 +500,7 @@ def scenario_truncate_analyze(args, profile, tag):
     ]:
         rep = truncation_analysis(profile, K, args.n, schedule)
         tot, lev, inter = rep.conclusion_series[:3]
-        for (j, t), (_, l), (_, i) in zip(
-            zip(tot.indices, tot.values),
-            zip(lev.indices, lev.values),
-            zip(inter.indices, inter.values),
-        ):
+        for (j, t), (_, l), (_, i) in zip(tot.entries, lev.entries, inter.entries):
             rows.append((name, int(j), t, i, l))
         _require(
             rep.verdict == "flags-agree",
@@ -531,7 +525,7 @@ def scenario_weak_converge(args, profile, tag):
     rows = []
     for s in report.conclusion_series:
         target = s.metadata.get("target")
-        for k, v in zip(s.indices, s.values):
+        for k, v in s.entries:
             rows.append((s.metadata["phi"], int(k), v, target))
     _require(
         report.details["implication_respected"],
@@ -554,7 +548,7 @@ def scenario_maximality(args, profile, tag):
     report = maximality_check(profile, args.n, schedule=geometric_schedule(args.j_max))
     rows = []
     for s in report.conclusion_series:
-        for j, v in zip(s.indices, s.values):
+        for j, v in s.entries:
             rows.append((s.metadata["phi"], int(j), v))
     meta = {
         "verdict": report.verdict,
@@ -570,7 +564,7 @@ def scenario_membership(args, profile, tag):
     """Membership diagnostic for the Monge-Ampere operator's domain."""
     report = ma_domain_membership(profile, args.n, schedule=geometric_schedule(args.j_max))
     hyp = report.hypothesis_series
-    rows = list(zip((int(j) for j in hyp.indices), hyp.values))
+    rows = [(int(j), v) for j, v in hyp.entries]
     meta = {
         "verdict": report.verdict,
         "hypothesis_flag": hyp.flag,

@@ -382,8 +382,11 @@ def setwise_gap(
 
     Demonstrates that weak convergence to the nonpolar part does not
     force setwise convergence: the counterexample sequence keeps mass 0
-    on the closed unit ball while the target is (2*pi)^n.
+    on the closed unit ball while the target is (2*pi)^n.  An empty
+    ``k_schedule`` leaves no final gap to read and raises ValueError.
     """
+    if len(k_schedule) == 0:
+        raise ValueError("setwise_gap needs a nonempty k_schedule")
     check_decreasing(seq, k_schedule)
     limit = seq.limit
     np_m = nonpolar_part(limit, n)
@@ -416,8 +419,8 @@ def _level_sums(levels, o, phi, a, b, terms, first=0):
     (a, b), and the products ``terms`` of the knot atoms the level
     keeps; ``terms[0]`` belongs to atom index ``first``, and a level
     keeps the atoms from its ``start`` on.  fsum's exact rounding does
-    not depend on the order of the terms.  Levels with no release term
-    and the same origin mass and start share one fsum.
+    not depend on the order of the terms.  Consecutive levels with the
+    same origin and release terms and the same start share one fsum.
     """
     size = len(terms)
     entries = []
@@ -426,13 +429,13 @@ def _level_sums(levels, o, phi, a, b, terms, first=0):
         # clamped, so that levels keeping the same terms share a key
         k = start - first
         k = 0 if k < 0 else size if k > size else k
+        head = [origin * o]
         if release is not None and a < release[0] < b:
             t, m = release
-            value = math.fsum([origin * o, m * phi(t)] + terms[k:])
-            key = None
-        elif key != (origin, k):
-            key = (origin, k)
-            value = math.fsum([origin * o] + terms[k:])
+            head.append(m * phi(t))
+        if key != (head, k):
+            key = (head, k)
+            value = math.fsum(head + terms[k:])
         entries.append((j, value))
     return entries
 

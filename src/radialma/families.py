@@ -51,9 +51,7 @@ def log_profile(log_R: float = 0.0) -> ConvexProfile:
 
 def max_const_profile(c: float, log_R: float = 0.0) -> ConvexProfile:
     """Profile of max(log ||z||, c); constant when the kink is outside."""
-    if c >= log_R:
-        return constant_profile(c, log_R)
-    return make_profile(((c, c),), FiniteValue(c), 1.0, log_R)
+    return linear_cap_profile(1.0, c, log_R)
 
 
 def constant_profile(c: float, log_R: float = 0.0) -> ConvexProfile:

@@ -54,7 +54,11 @@ class Grid1D:
     count: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.left):
+            raise ValueError(f"grid left end must be finite, got {self.left}")
         _check_spacing(self.h)
+        if type(self.count) is not int:
+            raise ValueError(f"cell count must be an int, got {self.count!r}")
         if self.count < 8:
             raise ValueError(f"need at least 8 cells, got {self.count}")
 

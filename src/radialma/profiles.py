@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -295,8 +295,7 @@ class ConvexProfile:
     def _slopes(self) -> tuple[float, ...]:
         """Formula slopes in order: tail, each chord, final."""
         bps = self.breakpoints
-        left = self.tail.slope if isinstance(self.tail, MinusInfinity) else 0.0
-        run = [left]
+        run = [self._tail_slope]
         for i in range(1, len(bps)):
             (t0, v0), (t1, v1) = bps[i - 1], bps[i]
             run.append((v1 - v0) / (t1 - t0))
@@ -322,8 +321,6 @@ class ConvexProfile:
 
     def _formula_value(self, t: float) -> float:
         ts, vs = self._ts, self._vs
-        if t == NEG_INF:
-            return self._formula_left_value()
         if t <= ts[0]:
             if isinstance(self.tail, FiniteValue):
                 return self.tail.value
@@ -339,13 +336,8 @@ class ConvexProfile:
         return v + self.final_slope * (self.log_R - t)
 
     def _formula_right_slope(self, t: float) -> float:
-        ts = self._ts
-        if t < ts[0]:
-            return self._tail_slope
-        if t >= ts[-1]:
-            return self.final_slope
-        # _slopes[i + 1] is the chord slope on [ts[i], ts[i + 1])
-        return self._slopes[bisect_right(ts, t)]
+        # _slopes[i] is the slope on [ts[i - 1], ts[i]), the tails included
+        return self._slopes[bisect_right(self._ts, t)]
 
     def _crossing(self, k: int, s: float) -> float:
         """Where the formula segment right of knot k (k = -1: the left
@@ -521,10 +513,9 @@ class ConvexProfile:
         """One-sided derivative chi'(t+).  At -inf returns the tail slope."""
         if not t < self.log_R:
             raise _out_of_domain(t, self.log_R)
-        if self.floor != NEG_INF and t < self._floor_edge:
+        # -inf lies in the clamp even where its release overflows to -inf
+        if self.floor != NEG_INF and (t < self._floor_edge or t == NEG_INF):
             return 0.0
-        if t == NEG_INF:
-            return self.left_slope
         return self._formula_right_slope(t)
 
     def shift(self, c: float) -> "ConvexProfile":
@@ -563,32 +554,29 @@ class ConvexProfile:
         return _interval_compact(self._level_bounds(s), s)
 
     def _level_bounds(self, s: float) -> tuple[float, float] | None:
-        """The interval ``level_set(s)`` holds, or None when it is empty."""
+        """The interval ``level_set(s)`` holds, or None when it is empty.
+
+        hi is the sublevel edge.  lo is knot k, the first at or above s,
+        when 0 < k and it sits at s, else the crossing on the segment left
+        of k (the tail when k = 0; the final segment when none reaches s,
+        which rises: a flat one keeps the boundary limit below s).
+        """
         left = self.left_value
-        if s < self.floor or left > s:
+        if left > s:
             return None
         hi = self._formula_sublevel_edge(s)
         if left == s:
             # the clamp (or a constant tail) attains s on a whole ball
             return (NEG_INF, hi)
         # now s > floor, so the level set is a formula-level question
-        ts, vs = self._ts, self._vs
         if self._formula_boundary_limit() < s:
             return None
-        if isinstance(self.tail, MinusInfinity) and vs[0] >= s:
-            # below the first knot value the edge above is this crossing
-            lo = hi if vs[0] > s else self._crossing(-1, s)
+        vs = self._vs
+        k = bisect_left(vs, s)
+        if 0 < k < len(vs) and vs[k] == s:
+            lo = self._ts[k]
         else:
-            k = bisect_right(vs, s) - 1
-            if vs[k] == s:
-                # walk back across any flat run at level s
-                while k > 0 and vs[k - 1] == s:
-                    k -= 1
-                lo = ts[k]
-            elif k == len(ts) - 1 and self.final_slope == 0.0:
-                return None  # chi < s up to the boundary
-            else:
-                lo = self._crossing(k, s)
+            lo = self._crossing(k - 1, s)
         if hi is None or hi < lo or lo >= self.log_R:
             return None
         return (lo, hi)
@@ -667,12 +655,18 @@ class ConvexProfile:
 
         An intercept of -inf is the line that is -inf everywhere, so the
         profile comes back unchanged.  Otherwise the line wins on at most
-        one interval (lo, hi), and one ``_assemble`` call builds the
-        result from the formula's knots left of lo, the crossing at lo
-        when lo is finite, the crossing at hi when hi < log_R, and the
-        formula's knots right of hi.  The tail is the line's when
-        lo = -inf and the final slope is the line's when hi = log_R; a
-        line that wins on the whole ball leaves one anchor knot on it.
+        one interval (lo, hi).  One crossing rule over the knots where
+        formula - line <= 0 finds both: lo on the segment left of the
+        first (the final segment if none), hi on the segment right of the
+        last (the left tail if none), or -inf and log_R where the line
+        wins at the ends.  Each crossing is kept on its segment, which
+        rounding can split around 0 when it nearly parallels the line; on
+        one exactly parallel the edge is its end where formula - line <= 0.
+        One ``_assemble`` call builds the result from the knots left of
+        lo, the crossings at a finite lo and at hi < log_R, and the knots
+        right of hi.  The tail is the line's when lo = -inf and the final
+        slope is the line's when hi = log_R; a line that wins on the
+        whole ball leaves one anchor knot on it.
         """
         if not math.isfinite(slope):
             raise ValueError("affine slope must be finite")
@@ -686,54 +680,40 @@ class ConvexProfile:
         def line(t: float) -> float:
             return slope * t + intercept
 
-        # formula - line is convex piecewise linear; the line can win on
-        # at most one interval (lo, hi).  The clamp is reapplied at the end.
+        # formula - line is convex; the clamp is reapplied at the end
         run = self._slopes
         ts, vs = self._ts, self._vs
         d_at = [vs[i] - line(ts[i]) for i in range(len(ts))]
         d_bnd = self._formula_boundary_limit() - line(self.log_R)
 
-        if isinstance(self.tail, MinusInfinity):
-            if self.tail.slope > slope:
-                wins_left = True  # chi falls faster, the line wins near -inf
-            elif self.tail.slope < slope:
-                wins_left = False
-            else:
-                wins_left = d_at[0] < 0.0
-        else:
-            wins_left = False  # the line drops to -inf, the constant tail stays
+        # the line wins at -inf where chi falls faster (a constant tail: never)
+        s0 = run[0]
+        wins_left = s0 > slope or s0 == slope and d_at[0] < 0.0
         if not wins_left and min(d_at) >= 0.0 and d_bnd >= 0.0:
             return self  # the line never rises above the formula
 
-        def cross_left() -> float:
-            """Leftmost zero of formula - line; -inf when the line wins at -inf."""
-            if wins_left:
-                return NEG_INF
-            if d_at[0] <= 0.0:
-                s0 = self._tail_slope
-                if s0 == slope:
-                    return NEG_INF
-                return ts[0] + (-d_at[0]) / (s0 - slope)
-            for i in range(1, len(ts)):
-                if d_at[i] <= 0.0:
-                    si = run[i]
-                    return ts[i - 1] + (-d_at[i - 1]) / (si - slope)
-            return ts[-1] + (-d_at[-1]) / (self.final_slope - slope)
+        def cross(k: int) -> float:
+            """The zero of formula - line on the segment right of knot k
+            (k = -1: the left tail), kept on it; when parallel, its left
+            end if formula - line <= 0 there, else its right end."""
+            i = k if k > 0 else 0
+            left = ts[k] if k >= 0 else NEG_INF
+            right = ts[k + 1] if k + 1 < len(ts) else self.log_R
+            gap = run[k + 1] - slope
+            if gap == 0.0:
+                return left if d_at[i] <= 0.0 else right
+            return min(max(ts[i] + (-d_at[i]) / gap, left), right)
 
-        def cross_right() -> float:
-            """Rightmost zero of formula - line; log_R when the line wins there."""
-            if d_bnd <= 0.0:
-                return self.log_R
-            if d_at[-1] <= 0.0:
-                return ts[-1] + (-d_at[-1]) / (self.final_slope - slope)
-            for i in range(len(ts) - 2, -1, -1):
-                if d_at[i] <= 0.0:
-                    si = run[i + 1]
-                    return ts[i] + (-d_at[i]) / (si - slope)
-            s0 = self._tail_slope
-            return ts[0] + (-d_at[0]) / (s0 - slope)
-
-        lo, hi = cross_left(), cross_right()
+        below = [i for i, d in enumerate(d_at) if d <= 0.0]
+        if wins_left:
+            lo = NEG_INF
+        else:
+            lo = cross(below[0] - 1 if below else len(ts) - 1)
+        if d_bnd <= 0.0:
+            hi = self.log_R
+        else:
+            # with no knot below, the line wins at -inf, where s0 > slope
+            hi = cross(below[-1] if below else -1)
         if hi <= lo:
             return self  # tangency or numerically empty overtake region
         bps = [(t, v) for t, v in self.breakpoints if t < lo]

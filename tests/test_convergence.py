@@ -146,6 +146,16 @@ def test_setwise_gap_on_sphere_variant():
     assert rep.details["np_mass_on_K"] == TWO_PI**2
 
 
+def test_setwise_gap_rejects_an_empty_schedule():
+    # it read the final gap off entries[-1] and raised IndexError
+    msg = "setwise_gap needs a nonempty k_schedule"
+    with pytest.raises(ValueError, match=msg):
+        setwise_gap(counterexample_sequence(1.0), closed_ball(0.0), 1, ())
+    # before any work: a sequence with no limit and no members is not read
+    with pytest.raises(ValueError, match=msg):
+        setwise_gap(ProfileSequence("unread", None, None), closed_ball(0.0), 1, [])
+
+
 def test_setwise_convergence_without_gap():
     rep = setwise_gap(
         truncation_sequence(max_const_profile(0.0, 1.0)), closed_ball(0.0), 1

@@ -6,7 +6,13 @@ finite lo and at hi < log_R, and the knots right of hi.  The assembly it
 replaced chose among four branches by whether lo = -inf and whether
 hi reaches log_R.  It is kept here as the reference, as it was, and
 every result must match it bit for bit: breakpoints, tail, final slope,
-log_R and floor, or the same exception.
+log_R and floor, or the same exception.  Two kinds of line may differ,
+both nearly along a segment whose ends rounding puts on both sides of
+the line.  Where the reference divides by a zero slope difference it
+raises ZeroDivisionError, and max_with_affine takes the segment's end.
+Where its quotient lands off the segment it solved on, max_with_affine
+keeps the crossing on that segment.  On those lines the result must be
+the pointwise maximum instead.
 """
 import math
 import struct
@@ -17,6 +23,12 @@ from hypothesis import strategies as st
 
 from radialma import ConvexProfile, FiniteValue, MinusInfinity
 from radialma.errors import MonotonicityViolation
+from test_max_with_affine_properties import (
+    ROUNDED_CHORD,
+    assert_is_the_maximum_of,
+    lines,
+    parallel_chord,
+)
 from test_nonpolar_properties import fixed_profiles, profiles
 
 NEG_INF = -math.inf
@@ -129,40 +141,44 @@ def shape(fn, p, slope, intercept):
     return ("profile", knots, tail, bits(q.final_slope), bits(q.log_R), bits(q.floor))
 
 
-def lines(p: ConvexProfile, rng: np.random.Generator):
-    """(slope, intercept) pairs: through random points, tangent along
-    each segment, winning on the whole ball, flat, and at -inf."""
-    ts, vs, run = p._ts, p._vs, p._slopes
-    out = []
-    for _ in range(6):
-        t = float(rng.uniform(ts[0] - 3.0, p.log_R))
-        t = min(t, math.nextafter(p.log_R, NEG_INF))
-        slope = float(rng.uniform(0.0, 2.0 * run[-1] + 1.0))
-        out.append((slope, p.value(t) + float(rng.normal(0.0, 0.5)) - slope * t))
-    # the tangent line along the tail, each chord, and the final segment
-    anchors = [0] + list(range(len(ts) - 1)) + [len(ts) - 1]
-    for k, slope in zip(anchors, run):
-        if slope > 0.0:
-            out.append((slope, vs[k] - slope * ts[k]))
-    if isinstance(p.tail, MinusInfinity):
-        # at most the tail slope and above every knot and the boundary
-        slope = p.tail.slope * float(rng.uniform(0.1, 1.0))
-        top = max(
-            [v - slope * t for t, v in p.breakpoints]
-            + [p.boundary_limit - slope * p.log_R]
-        )
-        out.append((slope, top + float(rng.uniform(0.0, 1.0))))
-        out.append((p.tail.slope, top))
-    out.append((0.0, float(rng.uniform(-6.0, 1.0))))
-    out.append((float(rng.uniform(0.0, 2.0)), NEG_INF))
-    return out
+def solves_off_its_segment(p: ConvexProfile, slope: float, intercept: float):
+    """Whether the reference's quotient for lo or hi lands off the segment
+    it solves on: for lo, left of the first knot where formula - line
+    <= 0 (the final segment if none); for hi, right of the last (the left
+    tail if none)."""
+    ts, run = p._ts, p._slopes
+    d_at = [v - (slope * t + intercept) for t, v in p.breakpoints]
+    d_bnd = p._formula_boundary_limit() - (slope * p.log_R + intercept)
+    wins_left = run[0] > slope or run[0] == slope and d_at[0] < 0.0
+    if not wins_left and min(d_at) >= 0.0 and d_bnd >= 0.0:
+        return False  # the reference returns before it solves
+    below = [i for i, d in enumerate(d_at) if d <= 0.0]
+    ends = (NEG_INF, *ts, p.log_R)
+    solved = []
+    if not wins_left:
+        solved.append(below[0] - 1 if below else len(ts) - 1)
+    if d_bnd > 0.0:
+        solved.append(below[-1] if below else -1)
+    for k in solved:
+        i = max(k, 0)
+        gap = run[k + 1] - slope
+        if gap != 0.0:
+            t = ts[i] + (-d_at[i]) / gap
+            if not ends[k + 1] <= t <= ends[k + 2]:
+                return True
+    return False
 
 
 def assert_matches(p, rng):
     for slope, intercept in lines(p, rng):
         got = shape(ConvexProfile.max_with_affine, p, slope, intercept)
         want = shape(reference_max_with_affine, p, slope, intercept)
-        assert got == want, (p, slope, intercept)
+        if got != want:
+            zero = want[:2] == ("raised", "ZeroDivisionError")
+            off = solves_off_its_segment(p, slope, intercept)
+            assert zero or off, (p, slope, intercept)
+            q = p.max_with_affine(slope, intercept)
+            assert_is_the_maximum_of(p, slope, intercept, q)
 
 
 def test_one_assembly_matches_the_four_branches_on_the_families():
@@ -175,6 +191,18 @@ def test_one_assembly_matches_the_four_branches_on_the_families():
 @given(p=profiles(), seed=st.integers(0, 2**32 - 1))
 def test_one_assembly_matches_the_four_branches(p, seed):
     assert_matches(p, np.random.default_rng(seed))
+
+
+def test_the_reference_divides_by_zero_on_a_parallel_chord():
+    want = shape(reference_max_with_affine, *parallel_chord())
+    assert want[:2] == ("raised", "ZeroDivisionError")
+
+
+def test_the_reference_solves_off_the_segment_on_a_rounded_chord():
+    p, slope, intercept = ROUNDED_CHORD
+    assert solves_off_its_segment(p, slope, intercept)
+    want = shape(reference_max_with_affine, p, slope, intercept)
+    assert want != shape(ConvexProfile.max_with_affine, p, slope, intercept)
 
 
 def test_each_of_the_four_branches_is_reached():

@@ -50,6 +50,23 @@ def test_grid_construction():
         Grid1D(-1.0, -0.1, 16)
 
 
+@pytest.mark.parametrize("left", [-math.inf, math.inf, math.nan], ids=repr)
+def test_grid_left_end_must_be_finite(left):
+    # -inf was accepted, and fd_riesz_measure then gave an empty measure
+    msg = rf"grid left end must be finite, got {re.escape(repr(left))}$"
+    with pytest.raises(ValueError, match=msg):
+        Grid1D(left, 0.1, 10)
+
+
+@pytest.mark.parametrize("count", [10.5, 10.0, True, "10"], ids=repr)
+def test_grid_cell_count_must_be_an_int(count):
+    # 10.5 built 12 nodes with right end 1.1
+    msg = rf"cell count must be an int, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=msg):
+        Grid1D(0.0, 0.1, count)
+    assert Grid1D(0.0, 0.1, 10).nodes.size == 11
+
+
 @pytest.mark.parametrize("h", [math.nan, 0.0, -0.01, math.inf], ids=repr)
 def test_grid_spacing_must_be_finite_and_positive(h):
     # nan reached round(), 0 divided by zero, -0.01 and inf gave 8 cells

@@ -219,6 +219,15 @@ def test_right_slope_nondecreasing(seed):
     assert all(a <= b for a, b in zip(slopes, slopes[1:]))
 
 
+def test_right_slope_at_minus_infinity_when_the_release_overflows():
+    # floor -1e308 on a tail of slope 1e-300 releases at -1e608, which
+    # rounds to -inf; -inf still lies in the clamp, where the slope is 0
+    p = make_profile([(-1.0, 0.0)], MinusInfinity(1e-300), 1.0).truncate(1e308)
+    assert p._floor_edge == NEG_INF
+    assert p.right_slope(NEG_INF) == 0.0 == p.left_slope
+    assert p.right_slope(-1e300) == 1e-300
+
+
 def test_sublevel_sets():
     assert log_profile().sublevel(-3.0) == closed_ball(-3.0)
     assert max_const_profile(0.0, 1.0).sublevel(-1.0).is_empty
