@@ -23,9 +23,7 @@ from .profiles import ConvexProfile, RadialCompact, NEG_INF, _check_level
 
 TWO_PI = 2.0 * math.pi
 
-# doubling truncation schedule; its deepest level bounds how far the
-# nonpolar part's increasing limit may look
-NP_SCHEDULE: tuple[int, ...] = tuple(2**k for k in range(21))
+NP_DEPTH = 2**20  # the deepest level the nonpolar part's limit looks at
 
 
 def _check_dimension(n: int) -> None:
@@ -185,18 +183,13 @@ def _release_atom(edge: float, mass: float) -> tuple[float, float]:
     return edge, mass
 
 
-def _sphere_atoms(
-    profile: ConvexProfile, n: int
-) -> tuple[tuple[float, float], ...]:
-    """The sphere atoms of (dd^c u)^n: the knot atoms of the formula, or
-    for a clamped profile its release atom followed by the knot atoms
-    right of it (none when the clamp covers the whole ball)."""
-    _check_dimension(n)
-    positions, atoms = _knot_atoms(profile, n)
+def _own_level(profile: ConvexProfile, n: int, positions: Sequence[float]):
+    """(clamp, origin_mass, release, start) of ``ma_measure(profile, n)``:
+    an unclamped profile keeps its origin atom (2*pi*s)^n, s its left
+    slope, and every knot atom; a clamped one releases at its floor."""
     if profile.floor == NEG_INF:
-        return atoms
-    release, start = _release(profile, n, profile._floor_edge, positions)
-    return () if release is None else (release,) + atoms[start:]
+        return NEG_INF, _mass(n, profile.left_slope), None, 0
+    return (profile.floor, 0.0, *_release(profile, n, profile._floor_edge, positions))
 
 
 def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
@@ -207,15 +200,17 @@ def ma_measure(profile: ConvexProfile, n: int) -> RadialMeasure:
     flat part contributes nothing; the clamp release point carries the
     atom (2*pi*sigma)^n with sigma the formula slope there, and every
     knot right of it keeps the float-identical mass it has without the
-    clamp.  The harnesses read the same data for a whole truncation
-    schedule from ``_truncation_ladder``, which shares the release-atom
-    code.  The atoms come checked from the per-n table, so the measure
-    is not checked again.  Raises MassOverflow when (2*pi)^n or a mass
-    is not a finite float.
+    clamp.  The measure is the bottom level of the truncation ladder,
+    read from ``_own_level``: the origin mass, the release atom, then
+    the knot atoms from ``start`` on.  The atoms come checked from the
+    per-n table, so the measure is not checked again.  Raises
+    MassOverflow when (2*pi)^n or a mass is not a finite float.
     """
-    atoms = _sphere_atoms(profile, n)
-    origin = _mass(n, profile.left_slope) if profile.floor == NEG_INF else 0.0
-    return RadialMeasure._built(n, origin, atoms)
+    _check_dimension(n)
+    positions, atoms = _knot_atoms(profile, n)
+    _, origin, release, start = _own_level(profile, n, positions)
+    head = () if release is None else (release,)
+    return RadialMeasure._built(n, origin, head + atoms[start:])
 
 
 def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
@@ -227,7 +222,7 @@ def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
     ``start`` of its first knot atom in ``_knot_atoms(profile, n)[1]``.
     The measure is the origin mass, the release atom, then
     ``atoms[start:]``.  A level at or below the profile's infimum leaves
-    it unclamped (or on its own clamp), so those levels share one entry.
+    it unclamped (or on its own clamp): those levels share ``_own_level``.
     A clamp releasing left of the first knot releases on the left tail:
     its atom is (edge, (2*pi*s)^n) with s the tail slope, the same mass
     at every such level and checked by ``_release_atom`` as every release
@@ -255,19 +250,11 @@ def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
                 yield (j, c, 0.0, *_release(profile, n, edge, positions))
             continue
         if own is None:
-            if profile.floor == NEG_INF:
-                own = (NEG_INF, _mass(n, profile.left_slope), None, 0)
-            else:
-                edge = profile._floor_edge
-                own = (profile.floor, 0.0, *_release(profile, n, edge, positions))
+            own = _own_level(profile, n, positions)
         yield (j, *own)
 
 
-def nonpolar_part(
-    profile: ConvexProfile,
-    n: int,
-    schedule: Sequence[int] = NP_SCHEDULE,
-) -> RadialMeasure:
+def nonpolar_part(profile: ConvexProfile, n: int, depth: int = NP_DEPTH) -> RadialMeasure:
     """Nonpolar part NP(dd^c u)^n: the sphere atoms of (dd^c u)^n.
 
     NP(dd^c u)^n is the increasing limit of (dd^c max(u, -j))^n on
@@ -276,28 +263,26 @@ def nonpolar_part(
     the limit is the full atom list with no origin mass (the origin atom,
     present only when chi(-inf) = -inf, never meets {u > -j}).
 
-    Only the schedule's deepest level J = max(schedule) decides, since a
-    shallower clamp covers more atoms.  ``profile.truncate(J)`` has its
-    clamp at exactly -J when -J is above the profile's infimum (a new
-    clamp, releasing at ``_formula_sublevel_edge(-J)``) or when the
-    profile's own clamp sits at -J (truncate then returns the profile
-    itself).  Either way NonStabilized(J, count) is raised if count > 0
-    atoms sit at or left of the release point.  Neither the clamped copy
-    nor the full measure is built.
+    The limit looks down to the level J = ``depth``, the clamp covering
+    the fewest atoms.  ``profile.truncate(J)`` has its clamp at exactly
+    -J when -J is above the profile's infimum (a new clamp, releasing at
+    ``_formula_sublevel_edge(-J)``) or when the profile's own clamp sits
+    at -J (truncate then returns the profile itself).  Either way
+    NonStabilized(J, count) is raised if count > 0 atoms sit at or left
+    of the release point.  No clamped copy or truncated measure is built.
     """
-    atoms = _sphere_atoms(profile, n)
-    J = max(schedule)
-    _check_level(J)
-    if -J > profile.left_value:
-        edge = profile._formula_sublevel_edge(-J)
-    elif profile.floor == -J:
+    atoms = ma_measure(profile, n).atoms
+    _check_level(depth)
+    if -depth > profile.left_value:
+        edge = profile._formula_sublevel_edge(-depth)
+    elif profile.floor == -depth:
         edge = profile._floor_edge
     else:
         edge = NEG_INF  # truncate(J) leaves the profile unclamped at -J
     # (t, m) <= (edge, inf) exactly when t <= edge, since every m is finite
     missing = bisect_right(atoms, (edge, math.inf))
     if missing:
-        raise NonStabilized(J, missing)
+        raise NonStabilized(depth, missing)
     return RadialMeasure._built(n, 0.0, atoms)
 
 
@@ -390,8 +375,10 @@ def annular_plateau(
 
 
 def distribution_function(measure: RadialMeasure, ts: np.ndarray) -> np.ndarray:
-    """t -> measure of the closed ball {log ||z|| <= t}, vectorized."""
+    """t -> measure of the closed ball {log ||z|| <= t}; rejects NaN."""
     ts = np.asarray(ts, dtype=float)
+    if np.isnan(ts).any():
+        raise OutOfDomain("grid contains NaN")
     pos = np.array([t for t, _ in measure.atoms])
     mas = np.array([m for _, m in measure.atoms])
     cum = np.concatenate(([0.0], np.cumsum(mas)))

@@ -237,10 +237,11 @@ class ConvexProfile:
         bps = self.breakpoints
         if not bps:
             raise ValueError("need at least one breakpoint")
-        if math.isnan(self.log_R):
+        if not self.log_R < math.inf:
             # every comparison with NaN is false, so the knot check below
-            # would let it through
-            raise ValueError("log_R must not be NaN")
+            # would let it through; at +inf the ball has no boundary
+            what = "not be NaN" if math.isnan(self.log_R) else "be finite"
+            raise ValueError(f"log_R must {what}")
         for t, v in bps:
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ValueError("breakpoints must be finite")
@@ -586,11 +587,10 @@ class ConvexProfile:
 
         The copy is not revalidated: it shares this profile's validated
         formula and its formula-level caches, and keeps only its own
-        clamp release point.  A clamp at or below the current infimum
-        leaves the profile as it is, the canonical form the constructor
-        also enforces.
+        clamp release point; ``c`` comes checked by the caller.  A clamp
+        at or below the current infimum leaves the profile as it is, the
+        canonical form the constructor also enforces.
         """
-        _check_floor(c)
         if c <= self.left_value:
             return self
         clamped = object.__new__(type(self))

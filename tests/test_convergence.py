@@ -156,6 +156,17 @@ def test_setwise_gap_rejects_an_empty_schedule():
         setwise_gap(ProfileSequence("unread", None, None), closed_ball(0.0), 1, [])
 
 
+def test_weak_convergence_rejects_an_empty_schedule():
+    # no entries leave nothing to judge, yet a verdict would be returned
+    msg = "^weak_convergence_test needs a nonempty k_schedule$"
+    battery = default_battery(0.0)
+    with pytest.raises(ValueError, match=msg):
+        weak_convergence_test(truncation_sequence(log_profile()), battery, 1, ())
+    # before any work: a sequence with no limit and no members is not read
+    with pytest.raises(ValueError, match=msg):
+        weak_convergence_test(ProfileSequence("unread", None, None), battery, 1, [])
+
+
 def test_setwise_convergence_without_gap():
     rep = setwise_gap(
         truncation_sequence(max_const_profile(0.0, 1.0)), closed_ball(0.0), 1
@@ -185,6 +196,18 @@ def test_maximality_rejects_levels_that_are_not_positive(schedule, got):
         maximality_check(log_profile(), 1, schedule=schedule)
     with pytest.raises(ValueError, match=msg):
         truncation_analysis(log_profile(), closed_ball(-1.0), 1, schedule=schedule)
+
+
+@pytest.mark.parametrize("schedule", [(2, 1), (1, 1), (1, 4, 2)])
+def test_a_schedule_that_does_not_increase_raises_the_series_error(schedule):
+    # at j = 1 the clamp covers the kink at -1 that is interior at j = 2,
+    # so the interior mass falls; the series rejects the order itself
+    p = make_profile([(-3.0, -3.0), (-1.0, -1.0)], MinusInfinity(1.0), final_slope=2.0)
+    msg = "^series indices must increase"
+    with pytest.raises(ValueError, match=msg):
+        truncation_analysis(p, closed_ball(0.0), 1, schedule=schedule)
+    with pytest.raises(ValueError, match=msg):
+        maximality_check(p, 1, schedule=schedule)
 
 
 def test_maximality_series_vanish_for_log():
@@ -299,6 +322,32 @@ def test_check_decreasing_accepts_real_sequences():
     check_decreasing(truncation_sequence(log_profile()), [1, 2, 4, 8])
     check_decreasing(counterexample_sequence(1.0), [1, 2, 4, 8])
     check_decreasing(shifted_sequence(log_profile(), 2.0), [1, 3, 9])
+
+
+class RecordingLimit:
+    """A limit that records each point check_decreasing evaluates it at."""
+
+    def __init__(self, t0, log_R):
+        self.breakpoints, self.log_R, self.seen = ((t0, 0.0),), log_R, []
+
+    def value(self, t):
+        self.seen.append(t)
+        return 0.0
+
+
+def test_check_decreasing_grid_is_numpy_linspace_bit_for_bit():
+    # the 33 points after -inf and the knot are np.linspace(a, b, 33),
+    # built as Python floats
+    rng = np.random.default_rng(11)
+    scales = rng.choice([1e-3, 1.0, 1e3, 1e6], size=(2000, 2))
+    for (t0, width), (s, w) in zip(rng.uniform(-1.0, 1.0, (2000, 2)), scales):
+        t0 = float(t0 * s)
+        limit = RecordingLimit(t0, t0 + float(abs(width) * w) + 1e-3)
+        check_decreasing(ProfileSequence("recorded", limit, None), ())
+        grid = limit.seen[2:]
+        assert all(type(t) is float for t in grid)
+        expected = np.linspace(t0 - 6.0, limit.log_R - 1e-6, 33)
+        assert np.array(grid).tobytes() == expected.tobytes()
 
 
 def test_check_decreasing_rejects_rising_members():

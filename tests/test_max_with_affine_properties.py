@@ -8,9 +8,13 @@ included) and on lines through random points, tangent along each
 segment, winning on the whole ball, flat, and at -inf.  The bound adds
 a few ulps of |slope * t| + |intercept|, the rounding of the line's own
 value: on the power-tail family's knots near t = -2^20 the two terms
-cancel to a value a thousand times smaller.
+cancel to a value a thousand times smaller.  It adds the same for the
+result's own evaluation, |v_k| + |s_k * (t - t_k)| from the knot
+(t_k, v_k) and slope s_k it evaluates t from: a crossing far out on the
+tail leaves a knot whose terms cancel the same way near the ball.
 """
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import given, settings
@@ -41,6 +45,22 @@ ROUNDED_CHORD = (
     ),
     1.7909667968749998,
     7.205883359909056,
+)
+
+
+# a line crossing the tail at t = -59774.23, where the result's one knot
+# sits: its value at t = -1.40625 is the difference of two terms near
+# 83490, off by 7.0e-12 (seed 5768484 of the property test below drew it)
+FAR_CROSSING = (
+    ConvexProfile(
+        ((-1.40625, -4.2490234375), (-0.734375, -2.6026344299316406)),
+        MinusInfinity(1.396728515625),
+        2.450439453125,
+        0.0,
+        -0.5,
+    ),
+    1.396827953922226,
+    3.6589739343145182,
 )
 
 
@@ -87,6 +107,18 @@ def sample_points(p, q):
     return [*p._ts, *q._ts, *(float(t) for t in grid)]
 
 
+def value_ulps(q, t):
+    """A few ulps of |v_k| + |s_k * (t - t_k)|, with (t_k, v_k) and s_k
+    the knot and slope ``q.value`` evaluates t from."""
+    ts, run = q._ts, q._slopes
+    if t <= ts[0]:
+        k, s = 0, run[0]
+    else:
+        k = bisect_right(ts, t) - 1
+        s = run[k + 1]
+    return 1e-15 * (abs(q._vs[k]) + abs(s * (t - ts[k])))
+
+
 def assert_is_the_maximum_of(p, slope, intercept, q):
     assert q.log_R == p.log_R
     for t in sample_points(p, q):
@@ -94,7 +126,8 @@ def assert_is_the_maximum_of(p, slope, intercept, q):
         line_ulps = 0.0
         if intercept > NEG_INF:
             line_ulps = 1e-15 * (abs(slope * t) + abs(intercept))
-        assert abs(q.value(t) - v) <= 1e-12 * (1.0 + abs(v)) + line_ulps, (
+        bound = 1e-12 * (1.0 + abs(v)) + line_ulps + value_ulps(q, t)
+        assert abs(q.value(t) - v) <= bound, (
             p,
             slope,
             intercept,
@@ -127,6 +160,13 @@ def test_a_crossing_rounded_off_its_segment_stays_on_it():
     assert 0.0 < p._slopes[3] - slope < 1e-15
     q = p.max_with_affine(slope, intercept)
     assert q._ts[2] == p._ts[3]
+    assert_is_the_maximum_of(p, slope, intercept, q)
+
+
+def test_a_crossing_far_out_on_the_tail_is_evaluated_from_its_knot():
+    p, slope, intercept = FAR_CROSSING
+    q = p.max_with_affine(slope, intercept)
+    assert len(q.breakpoints) == 1 and q._ts[0] < -59774.0
     assert_is_the_maximum_of(p, slope, intercept, q)
 
 

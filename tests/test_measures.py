@@ -14,6 +14,7 @@ from radialma import (
     closed_ball,
     constant_profile,
     default_battery,
+    distribution_function,
     empty_compact,
     hat,
     log_profile,
@@ -23,6 +24,7 @@ from radialma import (
     max_const_profile,
     MassOverflow,
     MinusInfinity,
+    OutOfDomain,
     capacity,
     nonpolar_part,
     plateau,
@@ -103,7 +105,7 @@ def test_nonpolar_part_schedule_exhaustion():
         final_slope=2.0,
     )
     with pytest.raises(NonStabilized) as exc:
-        nonpolar_part(p, 1, schedule=(1, 2, 4))
+        nonpolar_part(p, 1, depth=4)
     assert str(exc.value) == "nonpolar part did not stabilize with levels up to 4"
     # the clamp at -4 still covers the only atom, the kink at -5
     assert exc.value.level == 4
@@ -115,11 +117,43 @@ def test_nonpolar_part_schedule_exhaustion():
     )
     assert len(ma_measure(q, 1).atoms) == 2
     with pytest.raises(NonStabilized) as exc:
-        nonpolar_part(q, 1, schedule=(1,))
+        nonpolar_part(q, 1, depth=1)
     assert (exc.value.level, exc.value.missing_atoms) == (1, 2)
     with pytest.raises(NonStabilized) as exc:
-        nonpolar_part(q, 1, schedule=(1, 2, 8))
+        nonpolar_part(q, 1, depth=8)
     assert (exc.value.level, exc.value.missing_atoms) == (8, 1)
+
+
+@pytest.mark.parametrize("depth, got", [(0, "0"), (-1, "-1"), (math.nan, "nan")])
+def test_nonpolar_part_rejects_a_depth_that_is_not_positive(depth, got):
+    with pytest.raises(ValueError, match=rf"^truncation level j must be positive, got {got}$"):
+        nonpolar_part(max_const_profile(-1.0), 1, depth=depth)
+
+
+def test_nonpolar_part_raises_the_overflow_of_its_own_measure():
+    # the origin atom (2*pi*1.5e102)^3 lies past the float range, while
+    # the knot's slope jump does not: the nonpolar part reads the atoms
+    # of a measure that cannot be built
+    s = 1.5e102
+    p = make_profile([(-1.0, 0.0)], MinusInfinity(s), final_slope=s * (1.0 + 1e-10))
+    msg = "^mass of the slope jump 0.0 -> 1.5e\\+102 overflows at n=3$"
+    with pytest.raises(MassOverflow, match=msg):
+        ma_measure(p, 3)
+    with pytest.raises(MassOverflow, match=msg):
+        nonpolar_part(p, 3)
+
+
+def test_distribution_function_rejects_nan():
+    # searchsorted sorts NaN past every atom, which would read the total mass
+    m = ma_measure(log_profile().truncate(1.0), 1)
+    for ts in (np.array([math.nan]), np.array([-2.0, math.nan, -0.5])):
+        with pytest.raises(OutOfDomain, match="^grid contains NaN$"):
+            distribution_function(m, ts)
+    assert distribution_function(m, np.array([-2.0, -1.0, math.inf])).tolist() == [
+        0.0,
+        TWO_PI,
+        TWO_PI,
+    ]
 
 
 def test_mass_on_conventions():

@@ -1,11 +1,11 @@
 """The closed-form nonpolar part against the truncation limit it replaces.
 
 ``nonpolar_part`` returns the sphere atoms of ``ma_measure`` and decides
-``NonStabilized`` from the clamp at the schedule's deepest level alone.
-These properties pin it, bit for bit, to the literal increasing limit
-kept here as the reference: truncate at each level of the schedule,
-drop the release atom of a clamp active at that level, and stop when
-the kept atoms equal the full measure's.
+``NonStabilized`` from the clamp at its depth alone.  These properties
+pin it, at the depth of a schedule's deepest level, bit for bit to the
+literal increasing limit kept here as the reference: truncate at each
+level of the schedule, drop the release atom of a clamp active at that
+level, and stop when the kept atoms equal the full measure's.
 """
 import struct
 
@@ -25,10 +25,9 @@ from radialma import (
     power_tail_profile,
     random_profile,
 )
-from radialma.measures import NP_SCHEDULE
 
 SCHEDULES = (
-    NP_SCHEDULE,
+    tuple(2**k for k in range(21)),
     (1,),
     (2,),
     (4,),
@@ -52,6 +51,10 @@ def reference_nonpolar_part(profile, n, schedule):
         if kept == full.atoms:
             return RadialMeasure(n, 0.0, full.atoms)
     raise NonStabilized(j, sum(a not in kept for a in full.atoms))
+
+
+def closed_form(profile, n, schedule):
+    return nonpolar_part(profile, n, depth=max(schedule))
 
 
 def bits(x: float) -> bytes:
@@ -95,7 +98,7 @@ def profiles(draw):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_matches_the_truncation_limit_on_the_families(n, schedule):
     for p in fixed_profiles():
-        assert outcome(nonpolar_part, p, n, schedule) == outcome(
+        assert outcome(closed_form, p, n, schedule) == outcome(
             reference_nonpolar_part, p, n, schedule
         ), p
 
@@ -103,7 +106,7 @@ def test_closed_form_matches_the_truncation_limit_on_the_families(n, schedule):
 @settings(max_examples=300, deadline=None)
 @given(p=profiles(), n=st.integers(1, 3), schedule=st.sampled_from(SCHEDULES))
 def test_closed_form_matches_the_truncation_limit(p, n, schedule):
-    assert outcome(nonpolar_part, p, n, schedule) == outcome(
+    assert outcome(closed_form, p, n, schedule) == outcome(
         reference_nonpolar_part, p, n, schedule
     )
 
@@ -122,6 +125,6 @@ def test_a_clamp_of_its_own_at_the_deepest_level_is_never_released():
     assert p.truncate(4.0) is p
     assert len(ma_measure(p, 1).atoms) == 1
     with pytest.raises(NonStabilized) as exc:
-        nonpolar_part(p, 1, schedule=(1, 2, 4))
+        nonpolar_part(p, 1, depth=4)
     assert (exc.value.level, exc.value.missing_atoms) == (4, 1)
-    assert nonpolar_part(p, 1, schedule=(1, 2, 8)) == ma_measure(p, 1)
+    assert nonpolar_part(p, 1, depth=8) == ma_measure(p, 1)

@@ -81,6 +81,17 @@ def test_log_R_must_not_be_nan():
         ConvexProfile.from_json_dict(data)
 
 
+def test_log_R_must_be_finite():
+    # sublevel(1.0) would divide by the final slope 0 on the way to an
+    # edge at +inf: a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="^log_R must be finite$"):
+        make_profile([(-1.0, 0.0)], FiniteValue(0.0), 0.0, math.inf)
+    data = log_profile().to_json_dict()
+    data["log_R"] = math.inf
+    with pytest.raises(ValueError, match="^log_R must be finite$"):
+        ConvexProfile.from_json_dict(data)
+
+
 def test_breakpoints_must_lie_below_boundary():
     with pytest.raises(OutOfDomain):
         log_profile().value(0.0)
