@@ -7,8 +7,9 @@ second differences of sampled values; ``relaxation_envelope`` and
 relative extremal function with projected SOR sweeps and only at the
 very end package the node values as a profile or read a slope off them.
 The contact set of that problem, the nodes up to the obstacle's last
--1, is fixed, so the sweeps are SOR on the N cells right of it and use
-Young's optimal factor 2 / (1 + sin(pi / N)): about 4N sweeps per solve.
+-1, is fixed, so the sweeps relax only the N free cells right of it and
+use Young's optimal factor 2 / (1 + sin(pi / N)): about 4N sweeps of N
+cells per solve.
 With the exact path they share only the types they read and return;
 ``RadialCompact.require_inside`` rejects an empty compact, or one that
 reaches log_R, before any grid is built.
@@ -25,15 +26,16 @@ from .errors import (
     CompactTouchesBoundary,
     GridTooCoarse,
     GridTooLarge,
+    MassOverflow,
     NegativeSecondDifference,
     NotConverged,
 )
 from .measures import RadialMeasure, TWO_PI
 from .profiles import ConvexProfile, FiniteValue, RadialCompact, NEG_INF
 
-# PSOR needs O(nodes * free cells) work (about 4 * free cells sweeps of
-# every node); the largest grid the acceptance suite and the default CLI
-# scenarios build has 6,652 nodes
+# PSOR needs O(free cells^2) work (about 4N sweeps of the N free cells),
+# and every node is marked and packaged; the largest grid the acceptance
+# suite and the default CLI scenarios build has 6,652 nodes
 MAX_GRID_NODES = 20_000
 
 # a sweep that moves no node by more than this ends the relaxation
@@ -137,25 +139,35 @@ def _psor_solve(
 ) -> np.ndarray:
     """Discrete obstacle solution at the grid nodes (shared solver).
 
-    Each red-black half-sweep updates one colour in place through strided
-    views of the node values, with buffers allocated once per solve.  It
-    performs the update min(ob, v + omega * (0.5 * (l + r) - v))
-    one IEEE operation at a time in that order, so the iterates, the
-    stopping sweep and the NotConverged residual are the same floats as
-    gathering each colour through index arrays.  The factor is
-    omega = 2 / (1 + sin(pi / N)) for the N = m - c cells right of the
-    last node c where the obstacle is -1: the nodes up to c stay at -1,
-    so this is SOR on the free cells, and Young's factor for them takes
-    about 4N sweeps (4m with all m cells).  Node 0 is never updated:
-    the grid check below puts nodes 0-2 at least two cells left of the
-    compact's end, where the obstacle is -1, so node 0 starts at -1 and a
-    flat (Neumann) update would keep it there; it enters the sweep only
-    as node 1's left neighbour.
+    Let c be the last node where the obstacle is -1.  The sweeps relax
+    only the free nodes c+1 .. m-1, red-black by the parity of the global
+    node index, and read node c as a fixed -1 left neighbour.  Node c's
+    candidate -1 + omega * (0.5 * (v[c+1] - 1) + 1) is >= -1 exactly when
+    v[c+1] >= -1, so the projection keeps node c, and the contact block
+    left of it, at -1, and the iterates are those of the sweep over every
+    node (v[c+1] nears its final value from above, and every solve the
+    tests pin to that sweep keeps it >= -1).
 
-    Grids above MAX_GRID_NODES raise GridTooLarge before any sweep, and
-    grids whose first node is not two cells left of the compact's end
-    (too coarse, or starting too far right) raise GridTooCoarse.
+    Each half-sweep updates one colour in place through strided views,
+    with buffers allocated once per solve, performing
+    min(ob, v + omega * (0.5 * (l + r) - v)) one IEEE operation at a time
+    in that order, so the iterates, the stopping sweep and the
+    NotConverged residual are the same floats as gathering each colour
+    through index arrays.  The factor is omega = 2 / (1 + sin(pi / N))
+    for the N = m - c free cells, Young's optimum for SOR on them, which
+    takes about 4N sweeps of N cells.
+
+    ``max_sweeps`` must be an int of at least 1 (default 40 * cells +
+    2000); ValueError otherwise, before any grid work.  Grids above
+    MAX_GRID_NODES raise GridTooLarge before any sweep, and grids whose
+    first node is not two cells left of the compact's end (too coarse, or
+    starting too far right) raise GridTooCoarse: the free cells need a
+    contact node at -1 left of them.
     """
+    if max_sweeps is None:
+        max_sweeps = 40 * grid.count + 2000
+    elif type(max_sweeps) is not int or max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be an int >= 1, got {max_sweeps!r}")
     if grid.count + 1 > MAX_GRID_NODES:
         raise GridTooLarge(
             f"grid has {grid.count + 1} nodes, more than {MAX_GRID_NODES}"
@@ -177,21 +189,20 @@ def _psor_solve(
     ob = np.minimum.accumulate(o[::-1])[::-1]
     v = ob.copy()
     m = grid.count
-    free = m - int(np.flatnonzero(ob == -1.0)[-1])
-    omega = 2.0 / (1.0 + math.sin(math.pi / free))
-    if max_sweeps is None:
-        max_sweeps = 40 * m + 2000
-    # red-black colours as strided views of v and ob: the nodes, their left
-    # and right neighbours, the obstacle, a candidate buffer, and the
-    # colour's part of one difference buffer; buffers are allocated once
-    odd, even = v[1:m:2], v[2:m:2]
-    diff = np.empty(m - 1)
-    colours = (
-        (odd, v[0 : m - 1 : 2], v[2 : m + 1 : 2], ob[1:m:2],
-         np.empty(odd.size), diff[: odd.size]),
-        (even, v[1 : m - 1 : 2], v[3 : m + 1 : 2], ob[2:m:2],
-         np.empty(even.size), diff[odd.size :]),
-    )
+    lo = int(np.flatnonzero(ob == -1.0)[-1]) + 1  # first free node
+    omega = 2.0 / (1.0 + math.sin(math.pi / (m - lo + 1)))
+    # red-black colours of the free nodes as strided views of v and ob: the
+    # nodes, their left and right neighbours, the obstacle, a candidate
+    # buffer, and the colour's part of one difference buffer, allocated once
+    # (with one spare zero, so a grid without free nodes moves by 0)
+    diff = np.zeros(max(m - lo, 1))
+    colours = []
+    start = 0
+    for first in (lo | 1, lo + (lo & 1)):  # the odd nodes, then the even
+        left, cur, right = (v[first + k : m + k : 2] for k in (-1, 0, 1))
+        colours.append((cur, left, right, ob[first:m:2], np.empty(cur.size),
+                        diff[start : start + cur.size]))
+        start += cur.size
     delta = math.inf
     for _ in range(max_sweeps):
         for cur, left, right, obs, buf, part in colours:
@@ -224,14 +235,16 @@ def relaxation_envelope(
 
     Solves for the largest grid function that is below the monotone
     envelope of the obstacle (-1 on K, 0 at the boundary node) and
-    discretely convex, sweeping red-black with the overrelaxation factor
-    2 / (1 + sin(pi / N)), optimal for the N cells right of the last node
-    on K, until a full sweep moves no node by more than SWEEP_TOL.  Each
-    colour is updated in place on strided views of the node values, with
-    the floats of the plain gather-and-scatter sweep.  ``max_sweeps``
-    (default 40 * cells + 2000) bounds the sweeps; NotConverged when it
-    runs out.  The fixed point is thinned to its slope-jump knots and
-    returned as a profile.
+    discretely convex.  The nodes up to the last one on K stay at -1, so
+    the sweeps relax only the N free cells right of it, red-black with
+    the overrelaxation factor 2 / (1 + sin(pi / N)) optimal for them,
+    about 4N sweeps of N cells, until a sweep moves no node by more than
+    SWEEP_TOL.  Each colour is updated in place on strided views of the
+    node values, with the floats of the plain gather-and-scatter sweep
+    over every node.  ``max_sweeps`` (default 40 * cells + 2000) bounds
+    the sweeps and must be an int of at least 1, else ValueError;
+    NotConverged when it runs out.  The fixed point is thinned to its
+    slope-jump knots and returned as a profile.
     """
     v = _psor_solve(K, log_R, grid, max_sweeps)
     return _profile_from_grid(grid.nodes, v, log_R)
@@ -272,12 +285,15 @@ def oracle_capacity(
     log_R - K.sup, so the relative error stays O(h) uniformly in the
     depth of K.  The slope is read off the discrete envelope at the last
     contact node, and the capacity is (2*pi*slope)^n.  The empty set has
-    capacity 0.  A dimension n that is not an int of at least 1, or a
-    spacing h that is not finite and positive, raises ValueError.
+    capacity 0.  A dimension n that is not an int of at least 1, a log_R
+    of +inf, or a spacing h that is not finite and positive raises
+    ValueError; a capacity with no float, MassOverflow.
     """
     if type(n) is not int or n < 1:
         what = ">= 1" if type(n) is int else "an integer"
         raise ValueError(f"dimension n must be {what}, got {n!r}")
+    if log_R == math.inf:
+        raise ValueError("log_R must be finite")
     _check_spacing(h)
     if K.is_empty:
         return 0.0
@@ -288,4 +304,7 @@ def oracle_capacity(
     v = _psor_solve(K, log_R, grid, None)
     contact = int(np.flatnonzero(v <= -1.0 + 1e-9)[-1])
     sigma = (float(v[contact + 1]) - float(v[contact])) / grid.h
-    return (TWO_PI * sigma) ** n
+    try:
+        return (TWO_PI * sigma) ** n
+    except OverflowError:
+        raise MassOverflow(f"(2*pi*slope)^n overflows at n={n}") from None

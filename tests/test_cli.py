@@ -164,8 +164,13 @@ def test_oracle_check_smoke(tmp_path):
     assert rows, "oracle-check wrote no rows"
 
 
-def test_mass_overflow_exits_2_on_one_line(tmp_path):
-    r = run_cli(["capacity-table", "--n", "400"], tmp_path)
+@pytest.mark.parametrize(
+    "args",
+    [["capacity-table", "--n", "400"], ["capacity-table", "--with-oracle", "--n", "400"]],
+    ids=["exact", "with-oracle"],
+)
+def test_mass_overflow_exits_2_on_one_line(tmp_path, args):
+    r = run_cli(args, tmp_path)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     lines = r.stderr.strip().splitlines()

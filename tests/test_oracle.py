@@ -12,6 +12,7 @@ from radialma import (
     Grid1D,
     GridTooCoarse,
     GridTooLarge,
+    MassOverflow,
     NegativeSecondDifference,
     NotConverged,
     PowerTail,
@@ -233,6 +234,16 @@ def test_relaxation_reports_nonconvergence():
     assert exc.value.residual > 0.0
 
 
+@pytest.mark.parametrize("max_sweeps", [2.5, 0, -3, True, "3"], ids=repr)
+def test_max_sweeps_must_be_an_int_of_at_least_one(max_sweeps):
+    # 2.5 reached range(), 0 and -3 raised NotConverged, True ran one
+    # sweep; this grid would raise GridTooLarge, were it looked at first
+    grid = Grid1D.from_bounds(-3.0, 0.0, 1e-4)
+    msg = rf"max_sweeps must be an int >= 1, got {re.escape(repr(max_sweeps))}$"
+    with pytest.raises(ValueError, match=msg):
+        relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=max_sweeps)
+
+
 @pytest.mark.parametrize("h, budget", [(1e-2, 600), (2e-3, 3000)])
 def test_overrelaxation_fits_the_free_cells_sweep_budget(h, budget, monkeypatch):
     # The factor tuned to the cells right of the last contact needs about
@@ -293,6 +304,19 @@ def test_oracles_reject_compacts_without_an_extremal_function():
     with pytest.raises(CompactTouchesBoundary):
         oracle_capacity(annulus(-1.0, 0.5), 0.0, 1)
     assert oracle_capacity(empty_compact(), 0.0, 1) == 0.0
+
+
+@pytest.mark.parametrize("K", [closed_ball(-1.0), empty_compact()], ids=["ball", "empty"])
+def test_oracle_capacity_names_an_infinite_log_R(K):
+    # the chord span log_R - K.sup was reported as an infinite grid spacing
+    with pytest.raises(ValueError, match=r"^log_R must be finite$"):
+        oracle_capacity(K, math.inf, 1)
+
+
+def test_oracle_capacity_overflow_is_a_typed_error():
+    # the unit ball's slope is 1, and (2*pi)^400 has no float
+    with pytest.raises(MassOverflow, match=r"\(2\*pi\*slope\)\^n overflows at n=400$"):
+        oracle_capacity(closed_ball(-1.0), 0.0, 400, h=1e-2)
 
 
 @pytest.mark.parametrize("j", [1, 4, 64, 1024])
