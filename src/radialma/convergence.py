@@ -326,7 +326,8 @@ def weak_convergence_test(
     sublevel capacity condition of the limit.  A zero hypothesis flag
     together with converging conclusions is the direction this harness
     checks; nothing is inferred from a positive hypothesis flag (the
-    converse is false).  An empty ``k_schedule`` raises ValueError.
+    converse is false).  An empty ``k_schedule`` or ``phis`` raises
+    ValueError.
 
     Profiles that climb steeply toward the boundary get a
     ``boundary_caution`` detail: the domain is open on the right, so
@@ -335,6 +336,8 @@ def weak_convergence_test(
     """
     if len(k_schedule) == 0:
         raise ValueError("weak_convergence_test needs a nonempty k_schedule")
+    if len(phis) == 0:
+        raise ValueError("weak_convergence_test needs a nonempty battery")
     check_decreasing(seq, k_schedule)
     limit = seq.limit
     np_m = nonpolar_part(limit, n)
@@ -453,7 +456,8 @@ def maximality_check(
     Checks that NP(dd^c u)^n carries no mass on the standard exhaustion
     and that the truncated measures integrate to 0 against test
     functions supported off the origin; the level-set capacity condition
-    is reported as the hypothesis series.
+    is reported as the hypothesis series.  ``phis`` defaults to the
+    punctured battery; an empty one raises ValueError.
 
     The truncated measures are read from ``_truncation_ladder``, so no
     clamped copy or measure is built.  Each phi is 0 outside the open
@@ -470,6 +474,8 @@ def maximality_check(
     """
     if phis is None:
         phis = punctured_battery(profile.log_R)
+    elif len(phis) == 0:
+        raise ValueError("maximality_check needs a nonempty battery")
     np_m = nonpolar_part(profile, n)
     np_masses = [np_m.mass_on(K) for K in standard_exhaustion(profile.log_R)]
     np_zero = np_m.total_mass == 0.0

@@ -45,6 +45,7 @@ _FORMULA_STATE = (
     "_vs",
     "knot_slopes",
     "_knot_atom_tables",
+    "_formula",
 )
 
 
@@ -220,11 +221,10 @@ class ConvexProfile:
     of -inf means no clamp is active.  Instances are immutable and safe
     to share across threads: their lazily filled caches depend only on
     the formula, and clamped copies share them with the profile they
-    were clamped from.  The point evaluator ``value`` is the one
-    exception: it is built once per instance, over that instance's own
-    clamp, and a clamped copy builds its own instead of sharing it.
-    Two threads evaluating a fresh profile at once may both build it;
-    the two evaluators are equal, and one of them is kept.
+    were clamped from, the formula's point evaluator included.  The
+    point evaluator ``value`` applies this instance's own clamp on top
+    of it.  Two threads evaluating a fresh profile at once may both
+    build an evaluator; the two are equal, and one of them is kept.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -320,18 +320,6 @@ class ConvexProfile:
     def _tail_slope(self) -> float:
         return self.tail.slope if isinstance(self.tail, MinusInfinity) else 0.0
 
-    def _formula_value(self, t: float) -> float:
-        ts, vs = self._ts, self._vs
-        if t <= ts[0]:
-            if isinstance(self.tail, FiniteValue):
-                return self.tail.value
-            return vs[0] + self.tail.slope * (t - ts[0])
-        if t >= ts[-1]:
-            return vs[-1] + self.final_slope * (t - ts[-1])
-        i = bisect_right(ts, t) - 1
-        s = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
-        return vs[i] + s * (t - ts[i])
-
     def _formula_boundary_limit(self) -> float:
         t, v = self.breakpoints[-1]
         return v + self.final_slope * (self.log_R - t)
@@ -422,69 +410,66 @@ class ConvexProfile:
         return max(self._formula_boundary_limit(), self.floor)
 
     @cached_property
-    def value(self):
-        """Evaluate chi(t).  Accepts t = -inf; raises OutOfDomain at log_R
-        and for NaN.
+    def _formula(self):
+        """The formula's point evaluator, clamp ignored: a closure over
+        the knot tuples, the end knots and slopes, held in plain locals.
 
-        ``p.value`` is this profile's own evaluator, a closure built on
-        first use over the knot tuples, the end knots and slopes, and
-        the clamp, held in plain locals.  Its branches run in this
-        order: t <= t0 (the first knot) takes the left tail, t < t1 (the
-        last knot) the bisected chord, t < log_R the line right of t1.
-        NaN and every t >= log_R fail all three tests and reach the
-        final raise, so the domain check costs nothing on the way to a
-        value.  An unclamped profile gets a closure with no clamp at
-        all; a clamped one applies ``floor if floor > x else x`` after
-        the same branches.  Either gives the same floats as
-        max(p._formula_value(t), p.floor): the chord slope comes from
-        ``_slopes`` instead of a per-call division, and the clamp is the
-        comparison ``max`` makes.  It holds no reference to the profile,
-        so an evaluated profile is freed as soon as its last reference
-        goes.
+        Its branches run in this order: t <= t0 (the first knot) takes
+        the left tail, t < t1 (the last knot) the bisected chord, t <
+        log_R the line right of t1.  NaN and every t >= log_R fail all
+        three tests and reach the final raise, so the domain check costs
+        nothing on the way to a value.  The chord slope comes from
+        ``_slopes``, not a per-call division.  It holds no reference to
+        the profile, so an evaluated profile is freed as soon as its
+        last reference goes.
         """
         ts, vs, slopes = self._ts, self._vs, self._slopes
-        log_R, floor = self.log_R, self.floor
+        log_R = self.log_R
         t0, v0, s0 = ts[0], vs[0], slopes[0]
         t1, v1, s1 = ts[-1], vs[-1], slopes[-1]
         # a zero tail slope means a FiniteValue tail, whose own value is
         # returned (it may differ from v0 in the sign of zero)
         left = None if s0 else self.tail.value
 
-        # the clamp never fires on a floor of -inf, but its comparison
-        # and the extra store cost about a tenth of the evaluation time
+        def formula(t: float) -> float:
+            if t <= t0:
+                return v0 + s0 * (t - t0) if s0 else left
+            if t < t1:
+                i = bisect_right(ts, t)
+                return vs[i - 1] + slopes[i] * (t - ts[i - 1])
+            if t < log_R:
+                return v1 + s1 * (t - t1)
+            raise _out_of_domain(t, log_R)
+
+        return formula
+
+    @cached_property
+    def value(self):
+        """Evaluate chi(t).  Accepts t = -inf; raises OutOfDomain at log_R
+        and for NaN.
+
+        ``p.value`` is the formula's evaluator ``_formula`` when no clamp
+        is active, and otherwise a closure that applies this profile's
+        floor on top of it with ``floor if floor > x else x``, the
+        comparison ``max`` makes, so signed zeros come out as
+        max(formula(t), floor) gives them.
+        """
+        formula, floor = self._formula, self.floor
         if floor == NEG_INF:
-
-            def value(t: float) -> float:
-                if t <= t0:
-                    return v0 + s0 * (t - t0) if s0 else left
-                if t < t1:
-                    i = bisect_right(ts, t)
-                    return vs[i - 1] + slopes[i] * (t - ts[i - 1])
-                if t < log_R:
-                    return v1 + s1 * (t - t1)
-                raise _out_of_domain(t, log_R)
-
-            return value
+            return formula
 
         def clamped(t: float) -> float:
-            if t <= t0:
-                x = v0 + s0 * (t - t0) if s0 else left
-            elif t < t1:
-                i = bisect_right(ts, t)
-                x = vs[i - 1] + slopes[i] * (t - ts[i - 1])
-            elif t < log_R:
-                x = v1 + s1 * (t - t1)
-            else:
-                raise _out_of_domain(t, log_R)
+            x = formula(t)
             return floor if floor > x else x
 
         return clamped
 
     def __getstate__(self) -> dict:
-        # the evaluator is a closure, which does not pickle; a copy or an
+        # the evaluators are closures, which do not pickle; a copy or an
         # unpickled profile builds its own on first use
         state = dict(vars(self))
         state.pop("value", None)
+        state.pop("_formula", None)
         return state
 
     def values(self, ts: np.ndarray) -> np.ndarray:
@@ -620,13 +605,13 @@ class ConvexProfile:
         Materialized crossing points sit within one rounding error of
         the true convex graph, but over a short interval that is enough
         to flip a chord comparison; removing such a point changes the
-        function by at most the same rounding error.
+        function by at most the same rounding error.  Under a constant
+        tail the first knot sits at the tail's value and none lies below
+        it, so that anchor is never dropped.
         """
         lead = tail.slope if isinstance(tail, MinusInfinity) else 0.0
-        finite_left = isinstance(tail, FiniteValue)
         stack: list[tuple[float, float]] = []
         for p in bps:
-            drop = False
             while stack:
                 if len(stack) >= 2:
                     a, b = stack[-2], stack[-1]
@@ -636,12 +621,8 @@ class ConvexProfile:
                 s_new = (p[1] - stack[-1][1]) / (p[0] - stack[-1][0])
                 if s_new >= s_prev:
                     break
-                if len(stack) == 1 and finite_left:
-                    drop = True  # the continuity anchor must survive
-                    break
                 stack.pop()
-            if not drop:
-                stack.append(p)
+            stack.append(p)
         while len(stack) >= 2:
             a, b = stack[-2], stack[-1]
             if (b[1] - a[1]) / (b[0] - a[0]) > final_slope:
@@ -719,7 +700,7 @@ class ConvexProfile:
         bps = [(t, v) for t, v in self.breakpoints if t < lo]
         for x in (lo, hi):
             if NEG_INF < x < self.log_R:
-                bps.append((x, self._formula_value(x)))
+                bps.append((x, self._formula(x)))
         bps += [(t, v) for t, v in self.breakpoints if t > hi]
         if not bps:
             # the line wins on the whole ball

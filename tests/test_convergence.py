@@ -464,3 +464,22 @@ def test_weak_convergence_boundary_caution_flag():
         truncation_sequence(power_tail_profile(0.25)), phis, 1
     )
     assert steep.details["boundary_caution"] is True
+
+
+def test_harnesses_reject_an_empty_battery():
+    # with no test function the verdict was "converging" (weak convergence)
+    # or "maximal-off-origin" (maximality), drawn from no pairing at all
+    msg = "^weak_convergence_test needs a nonempty battery$"
+    with pytest.raises(ValueError, match=msg):
+        weak_convergence_test(truncation_sequence(log_profile()), (), 1)
+    # before any work: a sequence with no limit and no members is not read
+    with pytest.raises(ValueError, match=msg):
+        weak_convergence_test(ProfileSequence("unread", None, None), [], 1)
+    msg = "^maximality_check needs a nonempty battery$"
+    with pytest.raises(ValueError, match=msg):
+        maximality_check(log_profile(), 1, phis=())
+    with pytest.raises(ValueError, match=msg):
+        maximality_check(log_profile(), 1, phis=[])
+    # None still means the punctured battery
+    rep = maximality_check(log_profile(), 1, phis=None)
+    assert rep.battery == tuple(phi.label for phi in punctured_battery(0.0))

@@ -16,6 +16,7 @@ the pointwise maximum instead.
 """
 import math
 import struct
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,6 +33,21 @@ from test_max_with_affine_properties import (
 from test_nonpolar_properties import fixed_profiles, profiles
 
 NEG_INF = -math.inf
+
+
+def reference_formula(p, t: float) -> float:
+    """The formula at t, clamp ignored, the way the package used to
+    compute it: the chord slope divided out per call."""
+    ts, vs = p._ts, p._vs
+    if t <= ts[0]:
+        if isinstance(p.tail, FiniteValue):
+            return p.tail.value
+        return vs[0] + p.tail.slope * (t - ts[0])
+    if t >= ts[-1]:
+        return vs[-1] + p.final_slope * (t - ts[-1])
+    i = bisect_right(ts, t) - 1
+    s = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
+    return vs[i] + s * (t - ts[i])
 
 
 def reference_max_with_affine(p: ConvexProfile, slope: float, intercept: float):
@@ -99,10 +115,10 @@ def reference_max_with_affine(p: ConvexProfile, slope: float, intercept: float):
             )
         else:
             left_knots = tuple((t, v) for t, v in p.breakpoints if t < lo)
-            bps = left_knots + ((lo, p._formula_value(lo)),)
+            bps = left_knots + ((lo, reference_formula(p, lo)),)
             out = p._assemble(bps, p.tail, slope, p.log_R)
     else:
-        hi_pair = ((hi, p._formula_value(hi)),)
+        hi_pair = ((hi, reference_formula(p, hi)),)
         if right_knots and right_knots[0][0] == hi:
             hi_pair = ()
         if lo == NEG_INF:
@@ -111,7 +127,7 @@ def reference_max_with_affine(p: ConvexProfile, slope: float, intercept: float):
             )
         else:
             left_knots = tuple((t, v) for t, v in p.breakpoints if t < lo)
-            lo_pair = ((lo, p._formula_value(lo)),)
+            lo_pair = ((lo, reference_formula(p, lo)),)
             if left_knots and left_knots[-1][0] == lo:
                 lo_pair = ()
             out = p._assemble(

@@ -12,6 +12,7 @@ from radialma import (
     MinusInfinity,
     MonotonicityViolation,
     OutOfDomain,
+    RadialCompact,
     UnorderedBreakpoints,
     annulus,
     closed_ball,
@@ -329,3 +330,113 @@ def test_degenerate_constant_profile():
     # sublevel at the constant's own level reaches the boundary
     assert p.sublevel(-2.0).sup == p.log_R
     assert p.sublevel(-2.1).is_empty
+
+
+# -- every check and branch that the other tests leave unrun ---------------
+
+KNOT = ((-1.0, -1.0),)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ConvexProfile((), FiniteValue(0.0), 0.0), ValueError,
+         "need at least one breakpoint"),
+        (lambda: ConvexProfile(((-1.0, math.nan),), FiniteValue(-1.0), 1.0), ValueError,
+         "breakpoints must be finite"),
+        (lambda: ConvexProfile(((NEG_INF, -1.0),), MinusInfinity(1.0), 1.0), ValueError,
+         "breakpoints must be finite"),
+        (lambda: ConvexProfile(KNOT, FiniteValue(math.inf), 1.0), ValueError,
+         "FiniteValue must carry a finite value"),
+        (lambda: ConvexProfile(KNOT, FiniteValue(0.0), 1.0), ConvexityViolation,
+         "left end value must equal the first breakpoint value (0.0 != -1.0)"),
+        (lambda: ConvexProfile(KNOT, MinusInfinity(0.0), 1.0), MonotonicityViolation,
+         "MinusInfinity slope must be positive and finite; "
+         "use FiniteValue for a bounded left tail"),
+        (lambda: ConvexProfile(KNOT, MinusInfinity(math.nan), 1.0), MonotonicityViolation,
+         "MinusInfinity slope must be positive and finite; "
+         "use FiniteValue for a bounded left tail"),
+        (lambda: ConvexProfile(KNOT, "flat", 1.0), TypeError, "unknown left end 'flat'"),
+        (lambda: ConvexProfile(KNOT, MinusInfinity(1.0), 1.0, 0.0, math.nan), ValueError,
+         "floor must be a float or -inf"),
+        (lambda: ConvexProfile(KNOT, MinusInfinity(1.0), 1.0, 0.0, math.inf), ValueError,
+         "floor must be a float or -inf"),
+    ],
+    ids=[
+        "no-knot", "nan-value", "infinite-t", "infinite-tail-value", "tail-off-the-knot",
+        "zero-tail-slope", "nan-tail-slope", "unknown-tail", "nan-floor", "inf-floor",
+    ],
+)
+def test_constructor_names_what_is_wrong(build, error, message):
+    with pytest.raises(error) as got:
+        build()
+    assert type(got.value) is error
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    "intervals, message",
+    [
+        (((1.0, 0.0),), "interval 0: need a <= b, got (1.0, 0.0)"),
+        (((0.0, math.nan),), "interval 0: need a <= b, got (0.0, nan)"),
+        (((-2.0, -1.0), (-1.0, math.inf)), "interval 1: endpoints must be < +inf"),
+        (((math.inf, math.inf),), "interval 0: endpoints must be < +inf"),
+        (((-2.0, 0.0), (-1.0, 1.0)), "intervals must be disjoint and sorted"),
+        (((0.0, 1.0), (-2.0, -1.0)), "intervals must be disjoint and sorted"),
+        (((-1.0, 0.0), (0.0, 1.0)), "intervals must be disjoint and sorted"),
+    ],
+    ids=["reversed", "nan", "plus-inf-end", "plus-inf-interval", "overlapping",
+         "unsorted", "touching"],
+)
+def test_radial_compact_rejects_bad_intervals(intervals, message):
+    with pytest.raises(ValueError) as got:
+        RadialCompact(intervals)
+    assert type(got.value) is ValueError
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_shift_must_be_finite(c):
+    with pytest.raises(ValueError, match=r"^shift must be finite$") as got:
+        log_profile().shift(c)
+    assert type(got.value) is ValueError
+
+
+def test_max_with_affine_rejects_a_negative_slope():
+    msg = r"^affine minorant must have slope >= 0$"
+    for p in (log_profile(), log_profile().truncate(2.0)):
+        with pytest.raises(MonotonicityViolation, match=msg):
+            p.max_with_affine(-1.0, 0.0)
+
+
+def test_from_json_dict_rejects_an_unknown_left_end_kind():
+    data = log_profile().to_json_dict()
+    data["left_end"]["kind"] = "plus_infinity"
+    with pytest.raises(ValueError, match=r"^unknown left end kind 'plus_infinity'$") as got:
+        ConvexProfile.from_json_dict(data)
+    assert type(got.value) is ValueError
+
+
+def test_make_profile_continues_a_lone_bounded_knot_flat():
+    p = make_profile([(-1.0, -2.0)], FiniteValue(-2.0))
+    assert math.copysign(1.0, p.final_slope) == 1.0 and p.final_slope == 0.0
+    assert p.value(-0.5) == -2.0
+
+
+def test_max_with_affine_with_an_empty_overtake_region_is_the_identity():
+    # the line passes one ulp above the first knot, with a slope between
+    # the tail's and the first chord's: the crossings on either side of
+    # the knot round to hi <= lo
+    p = ConvexProfile(
+        (
+            (-4.501953125, -1.52294921875),
+            (-3.5654296875, -0.44946837425231934),
+            (-2.2294921875, 2.6607611179351807),
+            (-1.9365234375, 3.4434654712677),
+            (-1.4228515625, 5.317314386367798),
+        ),
+        MinusInfinity(0.0537109375),
+        3.64794921875,
+        0.0,
+    )
+    assert p.max_with_affine(0.5999755859375, 1.1781127452850344) is p

@@ -41,8 +41,23 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def reference_formula(p, t: float) -> float:
+    """The formula at t, clamp ignored, the way the package used to
+    compute it: the chord slope divided out per call."""
+    ts, vs = p._ts, p._vs
+    if t <= ts[0]:
+        if isinstance(p.tail, FiniteValue):
+            return p.tail.value
+        return vs[0] + p.tail.slope * (t - ts[0])
+    if t >= ts[-1]:
+        return vs[-1] + p.final_slope * (t - ts[-1])
+    i = bisect_right(ts, t) - 1
+    s = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
+    return vs[i] + s * (t - ts[i])
+
+
 def reference_value(p, t: float) -> float:
-    return max(p._formula_value(t), p.floor)
+    return max(reference_formula(p, t), p.floor)
 
 
 def reference_phi(phi: RadialTestFunction, t: float) -> float:
@@ -157,7 +172,7 @@ def test_clamped_copy_of_an_evaluated_profile_builds_its_own_evaluator(p, j, c):
     p.value(p._ts[0])
     for q in (p.truncate(float(j)), p.max_with_affine(0.0, c)):
         for t in probe_points(q._ts, q.log_R, q._floor_edge):
-            assert bits(q.value(t)) == bits(max(q._formula_value(t), q.floor)), t
+            assert bits(q.value(t)) == bits(max(reference_formula(q, t), q.floor)), t
 
 
 def test_evaluated_profile_is_freed_without_the_cycle_collector():
@@ -281,7 +296,43 @@ def test_value_at_every_knot_and_outside_the_domain(p):
 
 
 def test_the_knot_and_clamp_cases_are_all_covered():
-    # the two closure bodies, each with one and with many knots
+    # the formula's evaluator, bare and under a clamp, each with one and
+    # with many knots
     cases = one_knot_profiles() + [power_tail_profile(0.5), power_tail_profile(0.5).truncate(16.0)]
     seen = {(len(p._ts) > 1, p.floor != NEG_INF) for p in cases}
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- one formula evaluator, shared by the clamped copies ---------------------
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        log_profile(),
+        make_profile([(-3.0, -4.0), (-1.0, -1.0)], FiniteValue(-4.0), 2.0),
+        random_profile(np.random.default_rng(11), 0.0, allow_clamp=False),
+    ],
+    ids=["log", "bounded", "random"],
+)
+def test_clamped_copies_share_the_formula_evaluator(p):
+    assert p.floor == NEG_INF and p.value is p._formula
+    copies = [p.truncate(2.0), p.truncate(2.0).truncate(1.0), p.max_with_affine(0.0, -0.5)]
+    for q in copies:
+        assert q.floor != NEG_INF
+        assert q._formula is p._formula
+        assert q.value is not p._formula
+
+
+@pytest.mark.parametrize(
+    "p", [log_profile(), log_profile().truncate(4.0)], ids=["bare", "clamped"]
+)
+def test_pickling_or_copying_drops_the_evaluators(p):
+    pts = probe_points(p._ts, p.log_R, p._floor_edge)
+    before = [bits(p.value(t)) for t in pts]
+    assert {"value", "_formula"} <= vars(p).keys()
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert not {"value", "_formula"} & vars(q).keys()
+        assert [bits(q.value(t)) for t in pts] == before
+        assert q._formula is not p._formula
+        assert q.truncate(1.0)._formula is q._formula
