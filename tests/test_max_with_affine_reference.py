@@ -16,7 +16,6 @@ the pointwise maximum instead.
 """
 import math
 import struct
-from bisect import bisect_right
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,23 +30,9 @@ from test_max_with_affine_properties import (
     parallel_chord,
 )
 from test_nonpolar_properties import fixed_profiles, profiles
+from test_value_properties import reference_formula
 
 NEG_INF = -math.inf
-
-
-def reference_formula(p, t: float) -> float:
-    """The formula at t, clamp ignored, the way the package used to
-    compute it: the chord slope divided out per call."""
-    ts, vs = p._ts, p._vs
-    if t <= ts[0]:
-        if isinstance(p.tail, FiniteValue):
-            return p.tail.value
-        return vs[0] + p.tail.slope * (t - ts[0])
-    if t >= ts[-1]:
-        return vs[-1] + p.final_slope * (t - ts[-1])
-    i = bisect_right(ts, t) - 1
-    s = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
-    return vs[i] + s * (t - ts[i])
 
 
 def reference_max_with_affine(p: ConvexProfile, slope: float, intercept: float):

@@ -1,20 +1,17 @@
-"""Pytest plugin: list the statements of a source tree that no test runs.
+"""Pytest plugin: list the statements of ``src/radialma`` that no test runs.
 
-Load it with ``-p tools.linemap`` from the repository root and name the
-tree to map::
+Load it with ``-p tools.linemap`` from the repository root::
 
-    PYTHONPATH=src python -m pytest -p tools.linemap \\
-        --linemap src/radialma --linemap-require profiles.py
+    PYTHONPATH=src python -m pytest -p tools.linemap
 
 Every line run in-process while the session lasts is recorded with
-``sys.settrace`` (and ``threading.settrace``), for the mapped files only.
-A statement is one ``ast`` statement; a compound one (``if``, ``for``,
-``def``, ...) is its header alone, decorators included, and its body
-holds statements of its own.  It counts as run when any of its lines
-runs, and it is listed when none does although one of them holds
+``sys.settrace`` (and ``threading.settrace``), for the package's files
+only.  A statement is one ``ast`` statement; a compound one (``if``,
+``for``, ``def``, ...) is its header alone, decorators included, and its
+body holds statements of its own.  It counts as run when any of its
+lines runs, and it is listed when none does although one of them holds
 bytecode (a function's docstring holds none).  Code run in a subprocess
-is not seen.  The session fails when a module named by
-``--linemap-require`` (a path relative to the mapped tree) has a
+is not seen.  The session fails when a module in ``REQUIRED`` has a
 statement listed.  Only the standard library is used.
 """
 from __future__ import annotations
@@ -27,18 +24,9 @@ from pathlib import Path
 
 import pytest
 
-def pytest_addoption(parser):
-    group = parser.getgroup("linemap")
-    group.addoption(
-        "--linemap", metavar="DIR", help="list the statements under DIR that no test runs"
-    )
-    group.addoption(
-        "--linemap-require",
-        metavar="FILE",
-        action="append",
-        default=[],
-        help="fail the session if FILE (relative to DIR) has a statement no test runs",
-    )
+ROOT = Path(__file__).resolve().parents[1] / "src" / "radialma"
+# modules, relative to ROOT, in which every statement must run
+REQUIRED = ("profiles.py",)
 
 
 def _bytecode_lines(code) -> set[int]:
@@ -78,7 +66,10 @@ def unrun_statements(path: Path, run: set[int]) -> list[tuple[int, str]]:
 
 
 class LineMap:
-    def __init__(self, root: Path, required: list[str]):
+    def __init__(self, root: Path, required: tuple[str, ...]):
+        missing = [r for r in required if not (root / r).is_file()]
+        if missing:
+            raise pytest.UsageError(f"linemap: no module {missing} under {root}")
         self.root = root
         self.required = required
         self.run: dict[str, set[int]] = {str(p): set() for p in sorted(root.rglob("*.py"))}
@@ -123,11 +114,9 @@ _KEY = pytest.StashKey[LineMap]()
 
 def pytest_load_initial_conftests(early_config, parser, args):
     # before the conftests import the package, so its module code is seen
-    ns = parser.parse_known_args(args)
-    if ns.linemap:
-        linemap = LineMap(Path(ns.linemap).resolve(), ns.linemap_require)
-        early_config.stash[_KEY] = linemap
-        linemap.start()
+    linemap = LineMap(ROOT, REQUIRED)
+    early_config.stash[_KEY] = linemap
+    linemap.start()
 
 
 def pytest_sessionfinish(session, exitstatus):
