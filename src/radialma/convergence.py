@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Sequence
 
 from .capacity import condition_level, condition_sublevel
 from .errors import NonMonotoneSequence
@@ -116,10 +113,9 @@ def clipped_sequence(
     )
 
 
-def random_decreasing_sequence(
-    rng: np.random.Generator, log_R: float = 0.0
-) -> ProfileSequence:
-    """Seeded decreasing sequence over a random limit profile."""
+def random_decreasing_sequence(rng, log_R: float = 0.0) -> ProfileSequence:
+    """Seeded decreasing sequence over a random limit profile; ``rng``
+    is a ``numpy.random.Generator``."""
     limit = random_profile(rng, log_R)
     mode = rng.choice(["truncation", "shift", "clip"])
     if mode == "truncation":

@@ -103,7 +103,7 @@ class RadialCompact:
         for i, (a, b) in enumerate(self.intervals):
             if not a <= b:
                 raise ValueError(f"interval {i}: need a <= b, got ({a}, {b})")
-            if math.isinf(b) or (math.isinf(a) and a > 0):
+            if math.isinf(b):
                 raise ValueError(f"interval {i}: endpoints must be < +inf")
             if i > 0 and not prev_b < a:
                 raise ValueError("intervals must be disjoint and sorted")

@@ -1,12 +1,17 @@
 """CLI contract: artifacts, determinism, exit codes."""
 import csv
+import io
+import itertools
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from radialma import cli
@@ -14,17 +19,15 @@ from radialma import cli
 TWO_PI = 2.0 * math.pi
 
 
-def run_cli(args, outdir, extra_env=None):
-    env = dict(os.environ)
-    env.pop("RADIALMA_OUTDIR", None)
-    if extra_env:
-        env.update(extra_env)
-    return subprocess.run(
-        [sys.executable, "-m", "radialma", "--output-dir", str(outdir), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def run_cli(args, outdir):
+    """``radialma --output-dir outdir *args`` run in-process by cli.main,
+    with $RADIALMA_OUTDIR unset, in the shape subprocess.run returns."""
+    argv = ["--output-dir", str(outdir), *args]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.delenv("RADIALMA_OUTDIR", raising=False)
+        code = cli.main(argv)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
 def read_rows(path):
@@ -53,6 +56,19 @@ def test_capacity_table_rows(tmp_path):
         j = int(row["j"])
         assert float(row["capacity"]) == pytest.approx(TWO_PI / j, rel=1e-12)
         assert float(row["scaled"]) == pytest.approx(TWO_PI, rel=1e-12)
+
+
+def test_capacity_table_with_oracle(tmp_path):
+    r = run_cli(["capacity-table", "--with-oracle", "--j-max", "8", "--h", "1e-2"], tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    rows = read_rows(tmp_path / "capacity-table.csv")
+    assert [int(row["j"]) for row in rows] == [1, 2, 4, 8]
+    for row in rows:
+        closed = TWO_PI / int(row["j"])
+        assert abs(float(row["oracle"]) - closed) <= 0.1 * closed
+    oracle = json.loads((tmp_path / "capacity-table.meta.json").read_text())["result"]["oracle"]
+    assert oracle["h"] == 1e-2 and oracle["indices"] == [1, 2, 4, 8]
+    assert 0.0 < oracle["worst_rel_error"] <= 0.1
 
 
 def test_outputs_are_byte_identical(tmp_path):
@@ -94,6 +110,14 @@ def test_env_var_sets_output_dir(tmp_path):
     )
     assert r.returncode == 0, r.stdout + r.stderr
     assert (tmp_path / "maximality.csv").exists()
+
+
+@pytest.mark.parametrize("args, code", [(["maximality"], 0), (["counterexample", "--n", "0"], 1)])
+def test_python_m_radialma_exits_with_the_status_of_main(tmp_path, monkeypatch, args, code):
+    monkeypatch.setattr(sys, "argv", ["radialma", "--output-dir", str(tmp_path), *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("radialma", run_name="__main__")
+    assert exc.value.code == code
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -214,6 +238,7 @@ def test_oversized_oracle_grid_is_a_quick_usage_error(tmp_path):
     [
         ["counterexample", "--h", "nan"],
         ["counterexample", "--h", "inf"],
+        ["counterexample", "--h", "abc"],
         ["capacity-table", "--with-oracle", "--h", "nan"],
         ["oracle-check", "--h", "nan"],
         ["condition", "--family", "powertail", "--alpha", "2"],
@@ -476,6 +501,21 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="refused"):
         cli._write_atomic(str(tmp_path / "x.csv"), "a,b\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_leftover_temporary_file_is_left_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_TMP_IDS", itertools.count())
+    leftover = tmp_path / f".tmp-{os.getpid()}-0.part"
+    leftover.write_text("old")
+    cli._write_atomic(str(tmp_path / "x.csv"), "a,b\n")
+    assert (tmp_path / "x.csv").read_text() == "a,b\n"
+    assert leftover.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name, "x.csv"]
+
+
+def test_csv_cells_write_none_empty_and_numpy_scalars_as_python_numbers():
+    cells = [cli._cell(v) for v in (None, np.float32(0.1), np.int64(3), 0.5)]
+    assert cells == ["", "0.10000000149011612", "3", "0.5"]
 
 
 def test_short_writes_still_land_the_whole_text(tmp_path, monkeypatch):

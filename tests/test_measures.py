@@ -193,6 +193,23 @@ def test_integrate_interpolates_between_nodes():
     assert m.integrate(ramp) == pytest.approx(2.0 / 3.0)
 
 
+@pytest.mark.parametrize(
+    "origin, nodes, msg",
+    [
+        (1.0, (), "need at least one node"),
+        (1.0, ((-1.0, 1.0), (math.nan, 0.0)), "nodes must be finite"),
+        (1.0, ((-1.0, 1.0), (-1.0, 0.0)), "node positions must be strictly increasing"),
+        (1.0, ((-1.0, 1.0), (0.0, 0.0)), "support must end strictly before log_R"),
+        (0.5, ((-1.0, 1.0), (-0.5, 0.0)), "first node value must equal origin_value"),
+        (1.0, ((-1.0, 1.0), (-0.5, 0.5)), r"last node value must be 0 \(compact support\)"),
+    ],
+    ids=["no-node", "nan-node", "repeated-node", "support-to-log_R", "origin-value", "last-value"],
+)
+def test_test_function_rejects_bad_nodes(origin, nodes, msg):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        RadialTestFunction(origin, nodes)
+
+
 def test_restrict():
     u = max_const_profile(0.0, 1.0)
     m = nonpolar_part(u, 1)
@@ -300,6 +317,11 @@ def test_mass_overflow_is_typed():
     with pytest.raises(MassOverflow):
         capacity(closed_ball(-1.0), 0.0, 400)
     assert capacity(closed_ball(-1.0), 0.0, 300) == TWO_PI**300
+    # here the slope power s^n itself has no float, not only its product
+    # with (2*pi)^n
+    kink = make_profile([(-1.0, 0.0)], FiniteValue(0.0), final_slope=1e200)
+    with pytest.raises(MassOverflow, match=r"^mass of the slope jump 0\.0 -> 1e\+200 overflows at n=2$"):
+        ma_measure(kink, 2)
 
 
 def test_two_pi_power_overflow_names_its_cause():

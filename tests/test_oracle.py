@@ -32,6 +32,7 @@ from radialma import (
     random_profile,
     relaxation_envelope,
     sample_analytic,
+    sphere,
 )
 from radialma import oracle
 
@@ -49,6 +50,8 @@ def test_grid_construction():
         Grid1D(-1.0, 0.1, 4)
     with pytest.raises(ValueError):
         Grid1D(-1.0, -0.1, 16)
+    with pytest.raises(ValueError, match=r"^need a < b, got \[0\.0, 0\.0\]$"):
+        Grid1D.from_bounds(0.0, 0.0, 0.1)
 
 
 @pytest.mark.parametrize("left", [-math.inf, math.inf, math.nan], ids=repr)
@@ -271,6 +274,12 @@ def test_overrelaxation_fits_the_free_cells_sweep_budget(h, budget, monkeypatch)
     assert abs(got - want) <= 10 * h * want
 
 
+def test_relaxation_grid_must_end_at_log_R():
+    grid = Grid1D.from_bounds(-2.0, -0.5, 0.01)
+    with pytest.raises(ValueError, match=r"^grid must end at log_R \(the boundary node\)$"):
+        relaxation_envelope(closed_ball(-1.0), 0.0, grid)
+
+
 def test_too_coarse_grid_is_a_typed_error():
     # 8 cells over [-1.125, 0] leave no node two cells left of the ball
     with pytest.raises(GridTooCoarse):
@@ -301,6 +310,9 @@ def test_oracles_reject_compacts_without_an_extremal_function():
         relaxation_envelope(empty_compact(), 0.0, grid)
     with pytest.raises(CompactTouchesBoundary):
         relaxation_envelope(closed_ball(0.0), 0.0, grid)
+    # inside the ball, but nearer the boundary node than half a cell
+    with pytest.raises(CompactTouchesBoundary, match="^obstacle reached the boundary node$"):
+        relaxation_envelope(sphere(-0.003), 0.0, grid)
     with pytest.raises(CompactTouchesBoundary):
         oracle_capacity(annulus(-1.0, 0.5), 0.0, 1)
     assert oracle_capacity(empty_compact(), 0.0, 1) == 0.0

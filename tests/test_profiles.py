@@ -11,12 +11,15 @@ from radialma import (
     FiniteValue,
     MinusInfinity,
     MonotonicityViolation,
+    NotConvexOnGrid,
     OutOfDomain,
+    PowerTail,
     RadialCompact,
     UnorderedBreakpoints,
     annulus,
     closed_ball,
     constant_profile,
+    counterexample_sequence,
     linear_cap_profile,
     log_profile,
     make_compact,
@@ -24,8 +27,10 @@ from radialma import (
     max_const_profile,
     power_tail_profile,
     random_profile,
+    sample_analytic,
     sphere,
 )
+from radialma import families
 
 NEG_INF = float("-inf")
 
@@ -335,6 +340,10 @@ def test_degenerate_constant_profile():
 # -- every check and branch that the other tests leave unrun ---------------
 
 KNOT = ((-1.0, -1.0),)
+NODES_ULPS_APART = [
+    -3.3663275929465444, -3.3663275929465413, -3.366327592946538,
+    -3.3663275929465355, -3.3663275929465324, -3.3663275929465293,
+]
 
 
 @pytest.mark.parametrize(
@@ -361,10 +370,24 @@ KNOT = ((-1.0, -1.0),)
          "floor must be a float or -inf"),
         (lambda: ConvexProfile(KNOT, MinusInfinity(1.0), 1.0, 0.0, math.inf), ValueError,
          "floor must be a float or -inf"),
+        # the family builders
+        (lambda: linear_cap_profile(-1, 0), MonotonicityViolation,
+         "LinearCap slope must be >= 0, got -1"),
+        (lambda: power_tail_profile(1.0), ValueError, "need 0 < alpha < 1, got 1.0"),
+        (lambda: sample_analytic(PowerTail(0.0), [-1.0]), ValueError,
+         "PowerTail needs 0 < alpha < 1, got 0.0"),
+        (lambda: sample_analytic(PowerTail(0.5), [-1.0, 0.0]), ValueError,
+         "PowerTail grid must be negative"),
+        # six nodes a few ulps apart: the sampled chord slopes round out of order
+        (lambda: sample_analytic(PowerTail(0.5), NODES_ULPS_APART), NotConvexOnGrid,
+         "slope drops from 0.2857142857142857 to 0.25 at segment 3"),
+        (lambda: counterexample_sequence(0.0), ValueError, "this sequence needs log_R > 0"),
     ],
     ids=[
         "no-knot", "nan-value", "infinite-t", "infinite-tail-value", "tail-off-the-knot",
         "zero-tail-slope", "nan-tail-slope", "unknown-tail", "nan-floor", "inf-floor",
+        "linearcap-negative-slope", "powertail-alpha", "sampled-powertail-alpha",
+        "sampled-powertail-grid", "sampled-powertail-not-convex", "counterexample-log_R",
     ],
 )
 def test_constructor_names_what_is_wrong(build, error, message):
@@ -372,6 +395,19 @@ def test_constructor_names_what_is_wrong(build, error, message):
         build()
     assert type(got.value) is error
     assert str(got.value) == message
+
+
+def test_random_profile_gives_up_after_32_draws(monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise ConvexityViolation("refused")
+
+    monkeypatch.setattr(families, "make_profile", refuse)
+    with pytest.raises(ConvexityViolation, match="^could not draw a convex profile in 32 attempts$"):
+        random_profile(np.random.default_rng(0))
+    assert len(calls) == 32
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,8 @@ only.  A statement is one ``ast`` statement; a compound one (``if``,
 body holds statements of its own.  It counts as run when any of its
 lines runs, and it is listed when none does although one of them holds
 bytecode (a function's docstring holds none).  Code run in a subprocess
-is not seen.  The session fails when a module in ``REQUIRED`` has a
-statement listed.  Only the standard library is used.
+is not seen.  The session fails when any statement is listed.  Only the
+standard library is used.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1] / "src" / "radialma"
-# modules, relative to ROOT, in which every statement must run
-REQUIRED = ("profiles.py",)
 
 
 def _bytecode_lines(code) -> set[int]:
@@ -66,12 +64,8 @@ def unrun_statements(path: Path, run: set[int]) -> list[tuple[int, str]]:
 
 
 class LineMap:
-    def __init__(self, root: Path, required: tuple[str, ...]):
-        missing = [r for r in required if not (root / r).is_file()]
-        if missing:
-            raise pytest.UsageError(f"linemap: no module {missing} under {root}")
+    def __init__(self, root: Path):
         self.root = root
-        self.required = required
         self.run: dict[str, set[int]] = {str(p): set() for p in sorted(root.rglob("*.py"))}
         self.gaps: dict[Path, list[tuple[int, str]]] = {}
         # co_filename -> the line set of its mapped file, or None
@@ -105,16 +99,13 @@ class LineMap:
             if gaps:
                 self.gaps[Path(name)] = gaps
 
-    def failing(self) -> list[str]:
-        return [r for r in self.required if self.root / r in self.gaps]
-
 
 _KEY = pytest.StashKey[LineMap]()
 
 
 def pytest_load_initial_conftests(early_config, parser, args):
     # before the conftests import the package, so its module code is seen
-    linemap = LineMap(ROOT, REQUIRED)
+    linemap = LineMap(ROOT)
     early_config.stash[_KEY] = linemap
     linemap.start()
 
@@ -124,7 +115,7 @@ def pytest_sessionfinish(session, exitstatus):
     if linemap is None:
         return
     linemap.stop()
-    if linemap.failing() and session.exitstatus == 0:
+    if linemap.gaps and session.exitstatus == 0:
         session.exitstatus = 1
 
 
@@ -139,5 +130,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"{rel}:{line}: {text}")
     if not linemap.gaps:
         terminalreporter.write_line(f"every statement under {linemap.root} runs")
-    for name in linemap.failing():
-        terminalreporter.write_line(f"FAIL: {name} has statements no test runs")
