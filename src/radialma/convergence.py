@@ -136,9 +136,35 @@ def random_decreasing_sequence(rng, log_R: float = 0.0) -> ProfileSequence:
     )
 
 
-def check_decreasing(seq: ProfileSequence, ks: Sequence[int]) -> None:
-    """Spot-check that members decrease along ks and stay above the limit,
-    with a slack of 1e-9 relative to the limit's value."""
+def _member_walk(seq: ProfileSequence, ks: Sequence[int], check=None):
+    """(members, at): the distinct members along ks, and per index of ks
+    the pair (k, position of its member in ``members``).
+
+    ``seq.member(k)`` is called once per index, in order.  Consecutive
+    indices whose member is the same object share one position: a
+    truncation at or below the limit's infimum (or its own clamp), or a
+    line that never rises above the limit, returns the limit itself, so
+    its values, measure and pairings repeat.  Reuse goes by identity,
+    never equality, since equal profiles can differ in the sign of a
+    zero.  ``check(k, member)``, if given, runs on each distinct member
+    as soon as it is met.
+    """
+    members: list[ConvexProfile] = []
+    at: list[tuple[int, int]] = []
+    for k in ks:
+        prof = seq.member(k)
+        if not (members and members[-1] is prof):
+            if check is not None:
+                check(k, prof)
+            members.append(prof)
+        at.append((k, len(members) - 1))
+    return members, at
+
+
+def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
+    """``_member_walk`` with each distinct member spot-checked as
+    ``check_decreasing`` documents; a repeated member's values and
+    comparisons repeat, so it is checked once."""
     limit = seq.limit
     ts = [NEG_INF, *(t for t, _ in limit.breakpoints)]
     # np.linspace(a, b, 33) bit for bit: a + i * step, then b itself
@@ -155,8 +181,9 @@ def check_decreasing(seq: ProfileSequence, ks: Sequence[int]) -> None:
         slack = 1e-9 * (1.0 + (abs(lv) if finite else 0.0))
         slacks.append(slack)
         lows.append(lv - slack if finite else NEG_INF)
-    for k in ks:
-        prof = seq.member(k)
+
+    def check(k: int, prof: ConvexProfile) -> None:
+        nonlocal prev
         vals = [prof.value(t) for t in ts]
         for i, (t, v) in enumerate(zip(ts, vals)):
             if v < lows[i]:
@@ -168,6 +195,15 @@ def check_decreasing(seq: ProfileSequence, ks: Sequence[int]) -> None:
                     f"{seq.label}: member {k} rises above the previous one at t={t}"
                 )
         prev = vals
+
+    return _member_walk(seq, ks, check)
+
+
+def check_decreasing(seq: ProfileSequence, ks: Sequence[int]) -> None:
+    """Spot-check that members decrease along ks and stay above the limit,
+    with a slack of 1e-9 relative to the limit's value.  A member that is
+    the same object as the one before it is checked once."""
+    _checked_walk(seq, ks)
 
 
 @dataclass(frozen=True)
@@ -334,16 +370,17 @@ def weak_convergence_test(
         raise ValueError("weak_convergence_test needs a nonempty k_schedule")
     if len(phis) == 0:
         raise ValueError("weak_convergence_test needs a nonempty battery")
-    check_decreasing(seq, k_schedule)
+    members, at = _checked_walk(seq, k_schedule)
     limit = seq.limit
     np_m = nonpolar_part(limit, n)
     hypothesis = condition_sublevel(limit, n)
     conclusion = []
     flags = {}
-    measures = [(k, ma_measure(seq.member(k), n)) for k in k_schedule]
+    measures = [ma_measure(prof, n) for prof in members]
     for phi in phis:
         target = np_m.integrate(phi)
-        entries = [(k, mk.integrate(phi)) for k, mk in measures]
+        values = [mk.integrate(phi) for mk in measures]
+        entries = [(k, values[i]) for k, i in at]
         s = build_series(
             "k", entries, target=target, extra_metadata={"phi": phi.label}
         )
@@ -388,14 +425,13 @@ def setwise_gap(
     """
     if len(k_schedule) == 0:
         raise ValueError("setwise_gap needs a nonempty k_schedule")
-    check_decreasing(seq, k_schedule)
+    members, at = _checked_walk(seq, k_schedule)
     limit = seq.limit
     np_m = nonpolar_part(limit, n)
     target = np_m.mass_on(K)
     hypothesis = condition_sublevel(limit, n)
-    entries = [
-        (k, ma_measure(seq.member(k), n).mass_on(K)) for k in k_schedule
-    ]
+    masses = [ma_measure(prof, n).mass_on(K) for prof in members]
+    entries = [(k, masses[i]) for k, i in at]
     s = build_series("k", entries, target=target)
     gap = target - entries[-1][1]
     persistent = s.flag != CONVERGING_TO_ZERO and abs(gap) > 1e-9 * (
@@ -611,7 +647,7 @@ def generalized_condition(seq: ProfileSequence, n: int) -> DiagnosticSeries:
     The sequence-level strengthening of the capacity condition; a zero
     flag supports convergence for the whole sequence at once.
     """
-    profs = [seq.member(k) for k in DEFAULT_SCHEDULE]
+    profs, _ = _member_walk(seq, DEFAULT_SCHEDULE)
     members = [(p, ma_measure(p, n)) for p in profs]
     entries = []
     for j in DEFAULT_SCHEDULE:

@@ -149,6 +149,10 @@ def _knot_atoms(
     if table is None:
         atoms = []
         for t, s_before, s_after in profile.knot_slopes:
+            # a knot with no slope jump has no atom, and s^n - s^n could
+            # overflow for a huge s
+            if s_after == s_before:
+                continue
             jump = _mass(n, s_after, s_before)
             if jump != 0.0:
                 atoms.append((t, jump))

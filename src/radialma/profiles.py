@@ -104,6 +104,10 @@ class RadialCompact:
             if not a <= b:
                 raise ValueError(f"interval {i}: need a <= b, got ({a}, {b})")
             if math.isinf(b):
+                if b < 0.0:
+                    raise ValueError(
+                        f"interval {i}: right end -inf leaves only the origin"
+                    )
                 raise ValueError(f"interval {i}: endpoints must be < +inf")
             if i > 0 and not prev_b < a:
                 raise ValueError("intervals must be disjoint and sorted")

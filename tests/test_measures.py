@@ -324,6 +324,21 @@ def test_mass_overflow_is_typed():
         ma_measure(kink, 2)
 
 
+def test_a_knot_with_no_slope_jump_is_skipped_before_its_mass():
+    # the knot's slopes are both 1e200: s^n - s^n used to overflow and
+    # name that zero jump; the knot carries no atom, so the overflow met
+    # is the origin atom's (2*pi*1e200)^2, from slope 0 to 1e200
+    p = make_profile([(-1.0, -1.0)], MinusInfinity(1e200), 1e200)
+    with pytest.raises(MassOverflow) as got:
+        ma_measure(p, 2)
+    assert type(got.value) is MassOverflow
+    assert str(got.value) == "mass of the slope jump 0.0 -> 1e+200 overflows at n=2"
+    # no atom either where the equal slopes' mass is finite
+    flat = make_profile([(-1.0, -1.0)], MinusInfinity(1.0), 1.0)
+    assert ma_measure(flat, 2).atoms == ()
+    assert ma_measure(flat, 2).origin_mass == TWO_PI**2
+
+
 def test_two_pi_power_overflow_names_its_cause():
     # the log profile's masses are (2*pi)^n times 1 or 0: only (2*pi)^400 overflows
     with pytest.raises(MassOverflow, match=r"^\(2\*pi\)\^n overflows at n=400$"):

@@ -417,12 +417,14 @@ def test_random_profile_gives_up_after_32_draws(monkeypatch):
         (((0.0, math.nan),), "interval 0: need a <= b, got (0.0, nan)"),
         (((-2.0, -1.0), (-1.0, math.inf)), "interval 1: endpoints must be < +inf"),
         (((math.inf, math.inf),), "interval 0: endpoints must be < +inf"),
+        # (-inf, -inf] is the origin alone, not an interval past +inf
+        (((-math.inf, -math.inf),), "interval 0: right end -inf leaves only the origin"),
         (((-2.0, 0.0), (-1.0, 1.0)), "intervals must be disjoint and sorted"),
         (((0.0, 1.0), (-2.0, -1.0)), "intervals must be disjoint and sorted"),
         (((-1.0, 0.0), (0.0, 1.0)), "intervals must be disjoint and sorted"),
     ],
-    ids=["reversed", "nan", "plus-inf-end", "plus-inf-interval", "overlapping",
-         "unsorted", "touching"],
+    ids=["reversed", "nan", "plus-inf-end", "plus-inf-interval", "minus-inf-interval",
+         "overlapping", "unsorted", "touching"],
 )
 def test_radial_compact_rejects_bad_intervals(intervals, message):
     with pytest.raises(ValueError) as got:
