@@ -7,178 +7,114 @@ theorems can be probed with exactly computed series instead of
 discretization error.
 """
 
-from .capacity import (
-    ExtremalResult,
-    capacity,
-    condition_level,
-    condition_sublevel,
-    extremal,
-    extremal_profile,
-)
-from .convergence import (
-    HarnessReport,
-    ProfileSequence,
-    cegrell_f_diagnostic,
-    check_decreasing,
-    clipped_sequence,
-    counterexample_sequence,
-    generalized_condition,
-    ma_domain_membership,
-    maximality_check,
-    random_decreasing_sequence,
-    setwise_gap,
-    shifted_sequence,
-    truncation_analysis,
-    truncation_sequence,
-    weak_convergence_test,
-)
-from .errors import (
-    CompactTouchesBoundary,
-    ConvexityViolation,
-    EmptyCompact,
-    GridTooCoarse,
-    GridTooLarge,
-    MassOverflow,
-    MonotonicityViolation,
-    NegativeSecondDifference,
-    NonMonotoneSequence,
-    NonStabilized,
-    NotAdmissible,
-    NotConverged,
-    NotConvexOnGrid,
-    OutOfDomain,
-    RadialMAError,
-    UnorderedBreakpoints,
-)
-from .families import (
-    PowerTail,
-    constant_profile,
-    default_battery,
-    linear_cap_profile,
-    log_profile,
-    max_const_profile,
-    power_tail_profile,
-    punctured_battery,
-    random_compact,
-    random_profile,
-    sample_analytic,
-    standard_exhaustion,
-)
-from .measures import (
-    RadialMeasure,
-    RadialTestFunction,
-    annular_plateau,
-    distribution_function,
-    hat,
-    ma_measure,
-    nonpolar_part,
-    plateau,
-)
-from .oracle import (
-    Grid1D,
-    fd_riesz_measure,
-    oracle_capacity,
-    relaxation_envelope,
-)
-from .profiles import (
-    ConvexProfile,
-    FiniteValue,
-    MinusInfinity,
-    RadialCompact,
-    annulus,
-    closed_ball,
-    empty_compact,
-    make_compact,
-    make_profile,
-    sphere,
-)
-from .series import (
-    CONVERGING_TO_POSITIVE,
-    CONVERGING_TO_ZERO,
-    INCONCLUSIVE,
-    DiagnosticSeries,
-    build_series,
-    geometric_schedule,
-)
+from importlib import import_module
+
+# each module's public names, bound here at import.  Loading the submodule
+# .capacity sets the package attribute `capacity` to that module; binding
+# eagerly, after the load, keeps `radialma.capacity` the function, where a
+# loader on first use would lose it to `import radialma.cli`
+_PUBLIC = {
+    ".capacity": (
+        "ExtremalResult",
+        "capacity",
+        "condition_level",
+        "condition_sublevel",
+        "extremal",
+        "extremal_profile",
+    ),
+    ".convergence": (
+        "HarnessReport",
+        "ProfileSequence",
+        "cegrell_f_diagnostic",
+        "check_decreasing",
+        "clipped_sequence",
+        "counterexample_sequence",
+        "generalized_condition",
+        "ma_domain_membership",
+        "maximality_check",
+        "random_decreasing_sequence",
+        "setwise_gap",
+        "shifted_sequence",
+        "truncation_analysis",
+        "truncation_sequence",
+        "weak_convergence_test",
+    ),
+    ".errors": (
+        "CompactTouchesBoundary",
+        "ConvexityViolation",
+        "EmptyCompact",
+        "GridTooCoarse",
+        "GridTooLarge",
+        "MassOverflow",
+        "MonotonicityViolation",
+        "NegativeSecondDifference",
+        "NonMonotoneSequence",
+        "NonStabilized",
+        "NotAdmissible",
+        "NotConverged",
+        "NotConvexOnGrid",
+        "OutOfDomain",
+        "RadialMAError",
+        "UnorderedBreakpoints",
+    ),
+    ".families": (
+        "PowerTail",
+        "constant_profile",
+        "default_battery",
+        "linear_cap_profile",
+        "log_profile",
+        "max_const_profile",
+        "power_tail_profile",
+        "punctured_battery",
+        "random_compact",
+        "random_profile",
+        "sample_analytic",
+        "standard_exhaustion",
+    ),
+    ".measures": (
+        "RadialMeasure",
+        "RadialTestFunction",
+        "annular_plateau",
+        "distribution_function",
+        "hat",
+        "ma_measure",
+        "nonpolar_part",
+        "plateau",
+    ),
+    ".oracle": (
+        "Grid1D",
+        "fd_riesz_measure",
+        "oracle_capacity",
+        "relaxation_envelope",
+    ),
+    ".profiles": (
+        "ConvexProfile",
+        "FiniteValue",
+        "MinusInfinity",
+        "RadialCompact",
+        "annulus",
+        "closed_ball",
+        "empty_compact",
+        "make_compact",
+        "make_profile",
+        "sphere",
+    ),
+    ".series": (
+        "CONVERGING_TO_POSITIVE",
+        "CONVERGING_TO_ZERO",
+        "INCONCLUSIVE",
+        "DiagnosticSeries",
+        "build_series",
+        "geometric_schedule",
+    ),
+}
+
+for _module, _names in _PUBLIC.items():
+    _source = import_module(_module, __name__)
+    for _name in _names:
+        globals()[_name] = getattr(_source, _name)
+del import_module, _module, _names, _source, _name
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVERGING_TO_POSITIVE",
-    "CONVERGING_TO_ZERO",
-    "CompactTouchesBoundary",
-    "ConvexProfile",
-    "ConvexityViolation",
-    "DiagnosticSeries",
-    "EmptyCompact",
-    "ExtremalResult",
-    "FiniteValue",
-    "Grid1D",
-    "GridTooCoarse",
-    "GridTooLarge",
-    "HarnessReport",
-    "INCONCLUSIVE",
-    "MassOverflow",
-    "MinusInfinity",
-    "MonotonicityViolation",
-    "NegativeSecondDifference",
-    "NonMonotoneSequence",
-    "NonStabilized",
-    "NotAdmissible",
-    "NotConverged",
-    "NotConvexOnGrid",
-    "OutOfDomain",
-    "PowerTail",
-    "ProfileSequence",
-    "RadialCompact",
-    "RadialMAError",
-    "RadialMeasure",
-    "RadialTestFunction",
-    "UnorderedBreakpoints",
-    "annular_plateau",
-    "annulus",
-    "build_series",
-    "capacity",
-    "cegrell_f_diagnostic",
-    "check_decreasing",
-    "clipped_sequence",
-    "closed_ball",
-    "condition_level",
-    "condition_sublevel",
-    "constant_profile",
-    "counterexample_sequence",
-    "default_battery",
-    "distribution_function",
-    "empty_compact",
-    "extremal",
-    "extremal_profile",
-    "fd_riesz_measure",
-    "generalized_condition",
-    "geometric_schedule",
-    "hat",
-    "linear_cap_profile",
-    "log_profile",
-    "ma_domain_membership",
-    "ma_measure",
-    "make_compact",
-    "make_profile",
-    "max_const_profile",
-    "maximality_check",
-    "nonpolar_part",
-    "oracle_capacity",
-    "plateau",
-    "power_tail_profile",
-    "punctured_battery",
-    "random_compact",
-    "random_decreasing_sequence",
-    "random_profile",
-    "relaxation_envelope",
-    "sample_analytic",
-    "setwise_gap",
-    "shifted_sequence",
-    "sphere",
-    "standard_exhaustion",
-    "truncation_analysis",
-    "truncation_sequence",
-    "weak_convergence_test",
-]
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)

@@ -754,6 +754,11 @@ def main(argv=None) -> int:
         for nm in ("n", "j_max", "k_max", "count", "envelopes"):
             if getattr(args, nm, 1) < 1:
                 raise UsageError(f"--{nm.replace('_', '-')} must be >= 1")
+        for nm in ("j_max", "k_max"):
+            try:
+                geometric_schedule(getattr(args, nm, 1))
+            except ValueError as e:
+                raise UsageError(f"--{nm.replace('_', '-')}: {e}") from None
         h = getattr(args, "h", None)
         if h is not None and not 0.0 < h < H_MAX:
             raise UsageError(f"--h must lie in (0, {H_MAX:g}), got {h:g}")

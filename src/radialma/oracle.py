@@ -34,8 +34,9 @@ from .measures import RadialMeasure, TWO_PI
 from .profiles import ConvexProfile, FiniteValue, RadialCompact, NEG_INF
 
 # PSOR needs O(free cells^2) work (about 4N sweeps of the N free cells),
-# and every node is marked and packaged; the largest grid the acceptance
-# suite and the default CLI scenarios build has 6,652 nodes
+# and every node is marked and packaged, or sampled by fd_riesz_measure;
+# the largest grid the acceptance suite and the default CLI scenarios
+# build has 6,652 nodes
 MAX_GRID_NODES = 20_000
 
 # a sweep that moves no node by more than this ends the relaxation
@@ -87,6 +88,14 @@ class Grid1D:
         return float(self.nodes[-1])
 
 
+def _check_size(grid: Grid1D) -> None:
+    """GridTooLarge for a grid above MAX_GRID_NODES, before its nodes exist."""
+    if grid.count + 1 > MAX_GRID_NODES:
+        raise GridTooLarge(
+            f"grid has {grid.count + 1} nodes, more than {MAX_GRID_NODES}"
+        )
+
+
 def fd_riesz_measure(profile: ConvexProfile, grid: Grid1D) -> RadialMeasure:
     """n = 1 Monge-Ampere (Riesz) measure from second differences.
 
@@ -94,7 +103,9 @@ def fd_riesz_measure(profile: ConvexProfile, grid: Grid1D) -> RadialMeasure:
     The grid must stay strictly inside the domain; mass of the profile
     left of the grid is not seen.  Nonnegativity is enforced up to a
     rounding tolerance, beyond which NegativeSecondDifference is raised.
+    Grids above MAX_GRID_NODES raise GridTooLarge before any sampling.
     """
+    _check_size(grid)
     vals = profile.values(grid.nodes)
     h = grid.h
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
@@ -168,10 +179,7 @@ def _psor_solve(
         max_sweeps = 40 * grid.count + 2000
     elif type(max_sweeps) is not int or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an int >= 1, got {max_sweeps!r}")
-    if grid.count + 1 > MAX_GRID_NODES:
-        raise GridTooLarge(
-            f"grid has {grid.count + 1} nodes, more than {MAX_GRID_NODES}"
-        )
+    _check_size(grid)
     K.require_inside(log_R)
     nodes = grid.nodes
     if abs(grid.right - log_R) > 1e-9 * grid.h:

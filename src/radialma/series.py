@@ -24,6 +24,7 @@ the whole ball) are excluded from the fit and noted in the metadata.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 CONVERGING_TO_ZERO = "converging-to-zero"
@@ -34,10 +35,20 @@ _REL_AGREE = 1e-6
 
 
 def geometric_schedule(j_max: int = 1024) -> tuple[int, ...]:
-    """Powers of two up to j_max: 1, 2, 4, ..."""
+    """Powers of two up to j_max: 1, 2, 4, ...
+
+    ValueError unless j_max >= 1 is finite and the top level has a float
+    (j_max below 2**1024), since each level j is read as the float depth -j.
+    """
     if not 1 <= j_max < math.inf:
         raise ValueError("j_max must be >= 1 and finite")
-    return tuple(2**k for k in range(int(j_max).bit_length()))
+    top = int(j_max).bit_length() - 1
+    if top >= sys.float_info.max_exp:
+        raise ValueError(
+            f"the top level 2**{top} has no float: "
+            f"j_max must be below 2**{sys.float_info.max_exp}"
+        )
+    return tuple(2**k for k in range(top + 1))
 
 
 # the levels 1, 2, 4, ..., 1024 every harness and condition series

@@ -233,6 +233,47 @@ def test_oversized_oracle_grid_is_a_quick_usage_error(tmp_path):
     assert not (tmp_path / "capacity-table.csv").exists()
 
 
+def test_oversized_fd_grid_is_a_usage_error(tmp_path, capsys):
+    # counterexample's FD cross-check at h=1e-15 asked numpy for 3.5e15
+    # nodes and ended in a MemoryError traceback
+    assert cli.main(["--output-dir", str(tmp_path), "counterexample", "--h", "1e-15"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["usage error: grid has 3500000000000001 nodes, more than 20000"]
+    assert not any(tmp_path.iterdir())
+
+
+NO_FLOAT = str(2**1024)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([scenario, "--j-max", NO_FLOAT] for scenario in (
+            "condition", "maximality", "truncate-analyze", "membership", "capacity-table"
+        )),
+        ["weak-converge", "--k-max", NO_FLOAT],
+        ["counterexample", "--k-max", NO_FLOAT],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_schedule_levels_without_a_float_are_usage_errors(tmp_path, capsys, argv):
+    # a level of 2^1024 ended in an OverflowError traceback (int too
+    # large to convert to float)
+    assert cli.main(["--output-dir", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: {argv[1]}: the top level 2**1024 has no float: "
+        "j_max must be below 2**1024"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_largest_schedule_with_floats_runs(tmp_path):
+    r = run_cli(["condition", "--j-max", str(2**1024 - 1)], tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = read_rows(tmp_path / "condition.csv")
+    assert float(rows[-1]["j"]) == 2.0**1023
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -304,6 +304,19 @@ def test_oracle_work_is_bounded_before_any_sweep():
         relaxation_envelope(closed_ball(-2.0), 0.0, grid, max_sweeps=1)
 
 
+def test_fd_grid_is_bounded_before_sampling():
+    # h=1e-15 over [-3, 0.5] asked numpy for 3.5e15 nodes (24.9 PiB)
+    grid = Grid1D.from_bounds(-3.0, 0.5, 1e-15)
+    msg = r"^grid has 3500000000000001 nodes, more than 20000$"
+    with pytest.raises(GridTooLarge, match=msg):
+        fd_riesz_measure(log_profile(log_R=1.0), grid)
+    assert "nodes" not in vars(grid)
+    with pytest.raises(GridTooLarge, match=r"^grid has 20001 nodes"):
+        fd_riesz_measure(log_profile().truncate(2.0), Grid1D(-3.0, 1e-4, 20_000))
+    fd = fd_riesz_measure(log_profile().truncate(2.0), Grid1D(-3.0, 1e-4, 19_999))
+    assert fd.total_mass == pytest.approx(TWO_PI, rel=1e-12)
+
+
 def test_oracles_reject_compacts_without_an_extremal_function():
     grid = Grid1D.from_bounds(-3.0, 0.0, 1e-2)
     with pytest.raises(EmptyCompact):

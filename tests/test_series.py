@@ -24,6 +24,16 @@ def test_geometric_schedule():
         geometric_schedule(0)
 
 
+def test_a_schedule_level_must_have_a_float():
+    # 2**1024 was a level, and float(-j) of it raised OverflowError
+    assert geometric_schedule(2**1024 - 1)[-1] == 2**1023
+    msg = r"^the top level 2\*\*1024 has no float: j_max must be below 2\*\*1024$"
+    with pytest.raises(ValueError, match=msg):
+        geometric_schedule(2**1024)
+    with pytest.raises(ValueError, match=r"the top level 2\*\*2000 "):
+        geometric_schedule(2**2000 + 5)
+
+
 def test_constant_positive_series_flags_positive():
     rows = [(j, TWO_PI) for j in geometric_schedule(1024)]
     s = build_series("j", rows)
