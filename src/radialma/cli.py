@@ -52,6 +52,7 @@ from .families import (
     sample_analytic,
 )
 from .measures import (
+    NP_DEPTH,
     TWO_PI,
     distribution_function,
     hat,
@@ -759,6 +760,8 @@ def main(argv=None) -> int:
                 geometric_schedule(getattr(args, nm, 1))
             except ValueError as e:
                 raise UsageError(f"--{nm.replace('_', '-')}: {e}") from None
+        if args.command == "capacity-table" and args.dense and args.j_max > NP_DEPTH:
+            raise UsageError(f"--dense builds a row per j: --j-max must be <= 2^20, got {args.j_max}")
         h = getattr(args, "h", None)
         if h is not None and not 0.0 < h < H_MAX:
             raise UsageError(f"--h must lie in (0, {H_MAX:g}), got {h:g}")

@@ -26,6 +26,7 @@ from .families import (
 from .measures import (
     RadialTestFunction,
     _knot_atoms,
+    _own_level,
     _truncation_ladder,
     ma_measure,
     nonpolar_part,
@@ -164,19 +165,22 @@ def _member_walk(seq: ProfileSequence, ks: Sequence[int], check=None):
 def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
     """``_member_walk`` with each distinct member spot-checked as
     ``check_decreasing`` documents; a repeated member's values and
-    comparisons repeat, so it is checked once."""
+    comparisons repeat, so it is checked once.  The limit is evaluated
+    once per point; a clamped copy of an unclamped limit shares its
+    formula, so its values are ``floor if floor > x else x`` over those."""
     limit = seq.limit
     ts = [NEG_INF, *(t for t, _ in limit.breakpoints)]
     # np.linspace(a, b, 33) bit for bit: a + i * step, then b itself
     a, b = limit.breakpoints[0][0] - 6.0, limit.log_R - 1e-6
     step = (b - a) / 32
     ts += [a + i * step for i in range(32)] + [b]
+    formula = limit.value  # the formula itself when the limit is unclamped
+    xs = [formula(t) for t in ts]
     prev: list[float] | None = None
     # per point, once: the slack, and the bound a member must not dip
     # below (-inf where the limit is not finite, so no value dips)
     slacks, lows = [], []
-    for t in ts:
-        lv = limit.value(t)
+    for lv in xs:
         finite = math.isfinite(lv)
         slack = 1e-9 * (1.0 + (abs(lv) if finite else 0.0))
         slacks.append(slack)
@@ -184,7 +188,11 @@ def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
 
     def check(k: int, prof: ConvexProfile) -> None:
         nonlocal prev
-        vals = [prof.value(t) for t in ts]
+        if prof._formula is not formula:
+            vals = [prof.value(t) for t in ts]
+        else:
+            floor = prof.floor
+            vals = xs if floor == NEG_INF else [floor if floor > x else x for x in xs]
         for i, (t, v) in enumerate(zip(ts, vals)):
             if v < lows[i]:
                 raise NonMonotoneSequence(
@@ -361,6 +369,15 @@ def weak_convergence_test(
     converse is false).  An empty ``k_schedule`` or ``phis`` raises
     ValueError.
 
+    No measure is built per member.  Members sharing the limit's formula
+    are spot-checked through one walk of its values.  Each member, and
+    the target (the limit's own level without its origin mass), is paired
+    through the knot-atom table it shares (a shifted or clipped member
+    has its own): phi is evaluated once per table, at the atoms inside
+    its open support, and an entry is the ``_level_sums`` fsum over the
+    ``_own_level``, with the nonzero terms, float and OutOfDomain of
+    ``ma_measure(member, n).integrate(phi)``.
+
     Profiles that climb steeply toward the boundary get a
     ``boundary_caution`` detail: the domain is open on the right, so
     mass piling up near the edge sits outside every compact and the
@@ -376,13 +393,35 @@ def weak_convergence_test(
     hypothesis = condition_sublevel(limit, n)
     conclusion = []
     flags = {}
-    measures = [ma_measure(prof, n) for prof in members]
+    # per knot-atom table, its levels and their least start: at -1 the
+    # nonpolar part, then each member's own level by its index in
+    # ``members``; and the rightmost atom any of these measures holds
+    groups: dict[int, list] = {}
+    far = NEG_INF
+    for i, prof in enumerate([limit, *members], -1):
+        positions, atoms = _knot_atoms(prof, n)
+        clamp, origin, release, start = _own_level(prof, n, positions)
+        group = groups.setdefault(id(atoms), [positions, atoms, [], start])
+        group[2].append((i, clamp, origin if i >= 0 else 0.0, release, start))
+        group[3] = min(group[3], start)
+        if start < len(positions) or release:
+            far = max(far, positions[-1] if start < len(positions) else release[0])
     for phi in phis:
-        target = np_m.integrate(phi)
-        values = [mk.integrate(phi) for mk in measures]
+        if far > phi.log_R:
+            # raises phi's OutOfDomain where the measures' pairings do
+            for mk in [np_m, *(ma_measure(prof, n) for prof in members)]:
+                mk.integrate(phi)
+        value, o = phi.value, phi.origin_value
+        a, b = phi.nodes[0][0] if o == 0.0 else NEG_INF, phi.nodes[-1][0]
+        values = {}
+        for positions, atoms, levels, lo in groups.values():
+            first = bisect_right(positions, a, lo)
+            last = bisect_left(positions, b, first)
+            terms = [m * value(t) for t, m in atoms[first:last]]
+            values.update(_level_sums(levels, o, value, a, b, terms, first))
         entries = [(k, values[i]) for k, i in at]
         s = build_series(
-            "k", entries, target=target, extra_metadata={"phi": phi.label}
+            "k", entries, target=values[-1], extra_metadata={"phi": phi.label}
         )
         conclusion.append(s)
         flags[phi.label or f"phi{len(flags)}"] = s.flag
@@ -448,8 +487,9 @@ def setwise_gap(
 
 
 def _level_sums(levels, o, phi, a, b, terms, first=0):
-    """Per level of ``_truncation_ladder``, (j, fsum of its measure's
-    terms against a test function).
+    """Per level of ``_truncation_ladder``, or a measure's ``_own_level``
+    led by a label j, (j, fsum of its measure's terms against a test
+    function).
 
     The terms are the origin mass times ``o``, the release atom's mass
     times ``phi`` at it when the release lies in the open interval
@@ -459,17 +499,13 @@ def _level_sums(levels, o, phi, a, b, terms, first=0):
     not depend on the order of the terms.  Consecutive levels with the
     same origin and release terms and the same start share one fsum.
     """
-    size = len(terms)
-    entries = []
-    key = None
+    entries, key, size = [], None, len(terms)
     for j, _, origin, release, start in levels:
         # clamped, so that levels keeping the same terms share a key
-        k = start - first
-        k = 0 if k < 0 else size if k > size else k
+        k = 0 if start <= first else size if start - first > size else start - first
         head = [origin * o]
         if release is not None and a < release[0] < b:
-            t, m = release
-            head.append(m * phi(t))
+            head.append(release[1] * phi(release[0]))
         if key != (head, k):
             key = (head, k)
             value = math.fsum(head + terms[k:])
@@ -528,9 +564,8 @@ def maximality_check(
         if far > phi.log_R:
             for t in reach:
                 phi.value(t)
-        o = phi.origin_value
-        a = phi.nodes[0][0] if o == 0.0 else NEG_INF
-        b = phi.nodes[-1][0]
+        value, o = phi.value, phi.origin_value
+        a, b = phi.nodes[0][0] if o == 0.0 else NEG_INF, phi.nodes[-1][0]
         first = bisect_right(positions, a, lo)
         last = bisect_left(positions, b, first)
         if (
@@ -545,8 +580,8 @@ def maximality_check(
                 "j", zero.entries, zero.flag, {**zero.metadata, "phi": phi.label}
             )
         else:
-            terms = [m * phi.value(t) for t, m in atoms[first:last]]
-            entries = _level_sums(levels, o, phi.value, a, b, terms, first)
+            terms = [m * value(t) for t, m in atoms[first:last]]
+            entries = _level_sums(levels, o, value, a, b, terms, first)
             s = build_series(
                 "j", entries, target=0.0, extra_metadata={"phi": phi.label}
             )

@@ -326,30 +326,36 @@ class RadialTestFunction:
         return tuple(t for t, _ in self.nodes)
 
     @cached_property
-    def _vs(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.nodes)
+    def value(self):
+        """phi(t); accepts t = -inf and anything up to log_R, rejects NaN.
 
-    @cached_property
-    def _slopes(self) -> tuple[float, ...]:
-        """Chord slopes; _slopes[i] is the slope on [ts[i], ts[i + 1]]."""
-        ts, vs = self._ts, self._vs
-        return tuple(
-            (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)
-        )
+        A closure over the nodes, built on first use as ``ConvexProfile.value``
+        is.  ``weak_convergence_test`` and ``maximality_check`` call it once
+        per knot-atom table, on the atoms inside phi's open support."""
+        ts, vs = self._ts, tuple(v for _, v in self.nodes)
+        # slopes[i] is the chord slope on [ts[i], ts[i + 1]]
+        slopes = [(vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+        log_R, origin = self.log_R, self.origin_value
+        t0, t1 = ts[0], ts[-1]
 
-    def value(self, t: float) -> float:
-        """phi(t); accepts t = -inf and anything up to log_R, rejects NaN."""
-        if not t <= self.log_R:
-            if math.isnan(t):
-                raise OutOfDomain("t is NaN")
-            raise OutOfDomain(f"t={t} > log_R={self.log_R}")
-        ts = self._ts
-        if t <= ts[0]:
-            return self.origin_value
-        if t >= ts[-1]:
-            return 0.0
-        i = bisect_right(ts, t) - 1
-        return self._vs[i] + self._slopes[i] * (t - ts[i])
+        def phi(t: float) -> float:
+            if t <= t0:
+                return origin
+            if t < t1:
+                i = bisect_right(ts, t) - 1
+                return vs[i] + slopes[i] * (t - ts[i])
+            if t <= log_R:
+                return 0.0
+            raise OutOfDomain("t is NaN" if math.isnan(t) else f"t={t} > log_R={log_R}")
+
+        return phi
+
+    def __getstate__(self) -> dict:
+        # the evaluator is a closure, which does not pickle; a copy or an
+        # unpickled test function builds its own on first use
+        state = dict(vars(self))
+        state.pop("value", None)
+        return state
 
 
 def plateau(t_one: float, t_zero: float, log_R: float = 0.0, label: str = "") -> RadialTestFunction:

@@ -242,6 +242,38 @@ def test_oversized_fd_grid_is_a_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+class ReachedTheScenario(Exception):
+    pass
+
+
+def test_a_dense_capacity_table_past_2_20_rows_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # --dense builds one row per integer up to --j-max; 10^7 rows under a
+    # 2 GB address-space limit ended in a MemoryError traceback
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "capacity", no_rows)
+    argv = ["--output-dir", str(tmp_path), "capacity-table", "--dense", "--j-max"]
+    for j_max in ("1048577", "10000000"):
+        assert cli.main([*argv, j_max]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: --dense builds a row per j: --j-max must be <= 2^20, got {j_max}"
+        ]
+    assert not any(tmp_path.iterdir())
+
+    # 2^20 rows, and any --j-max without --dense, pass the check
+    def reached(args):
+        raise ReachedTheScenario(args.j_max, args.dense)
+
+    monkeypatch.setitem(cli._SCENARIOS, "capacity-table", reached)
+    with pytest.raises(ReachedTheScenario) as e:
+        cli.main([*argv, "1048576"])
+    assert e.value.args == (2**20, True)
+    with pytest.raises(ReachedTheScenario) as e:
+        cli.main([*argv[:-2], "--j-max", "10000000"])
+    assert e.value.args == (10**7, False)
+
+
 NO_FLOAT = str(2**1024)
 
 

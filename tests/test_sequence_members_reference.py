@@ -1,14 +1,17 @@
 """The sequence harnesses against loops that build and pair every member.
 
 ``check_decreasing``, ``weak_convergence_test``, ``setwise_gap`` and
-``generalized_condition`` walk the members once and build, spot-check
-and pair each distinct member once: consecutive indices whose member is
-the same object (a truncation at or below the limit's infimum, a line
-that never rises above the limit) share its values, measure and
-pairings.  The references here are the loops as they were, which call
-``seq.member(k)`` and build a measure for every index.  Reports must
-match them bit for bit, and an input that raised must raise the same
-error.
+``generalized_condition`` walk the members once and spot-check and pair
+each distinct member once: consecutive indices whose member is the same
+object (a truncation at or below the limit's infimum, a line that never
+rises above the limit) share its values, measure and pairings.
+``weak_convergence_test`` builds no member measure: members sharing the
+limit's formula are spot-checked through one walk of its values and
+paired through the knot-atom table they share, by ``_level_sums``.  The
+references here are the loops as they were, which call ``seq.member(k)``
+and build a measure for every index.  Reports must match them bit for
+bit, every pairing must be ``ma_measure(member, n).integrate(phi)`` bit
+for bit, and an input that raised must raise the same error.
 """
 import math
 
@@ -20,12 +23,14 @@ from hypothesis import strategies as st
 from radialma import (
     CONVERGING_TO_ZERO,
     FiniteValue,
+    OutOfDomain,
     HarnessReport,
     NonMonotoneSequence,
     ProfileSequence,
     annulus,
     build_series,
     check_decreasing,
+    clipped_sequence,
     closed_ball,
     condition_sublevel,
     counterexample_sequence,
@@ -37,15 +42,18 @@ from radialma import (
     ma_measure,
     max_const_profile,
     nonpolar_part,
+    plateau,
+    power_tail_profile,
     random_decreasing_sequence,
     setwise_gap,
     truncation_sequence,
     weak_convergence_test,
 )
 from radialma import convergence
+from radialma.measures import _own_level
 from radialma.profiles import NEG_INF
 from radialma.series import DEFAULT_SCHEDULE
-from test_ladder_reference import outcome
+from test_ladder_reference import bits, outcome
 
 SCHEDULES = (
     DEFAULT_SCHEDULE,
@@ -268,9 +276,10 @@ def test_a_settled_truncation_builds_one_member_measure(monkeypatch):
     limit = max_const_profile(-1.0)
     seq = truncation_sequence(limit)
     assert len(DEFAULT_SCHEDULE) == 11
+    # weak_convergence_test pairs through the knot-atom table: no member
+    # measure is built, settled or not
     weak_convergence_test(seq, default_battery(0.0), 2)
-    assert built == [limit]
-    built.clear()
+    assert built == []
     setwise_gap(seq, closed_ball(-2.0), 2)
     assert built == [limit]
     built.clear()
@@ -279,18 +288,109 @@ def test_a_settled_truncation_builds_one_member_measure(monkeypatch):
     # the log profile's truncations differ at every level
     built.clear()
     weak_convergence_test(truncation_sequence(log_profile()), default_battery(0.0), 2)
-    assert len(built) == 11
+    assert built == []
 
 
-def test_a_member_repeated_only_by_equality_is_built_again(monkeypatch):
-    # runs go by identity: a new but equal member gets its own measure
-    built = []
+def test_a_member_repeated_only_by_equality_is_paired_again(monkeypatch):
+    # runs go by identity: a new but equal member has a knot-atom table
+    # of its own, so it is read and paired again, and no measure is built
+    built, levels = [], []
 
     def counting(profile, n):
         built.append(profile)
         return ma_measure(profile, n)
 
+    def own_level(profile, n, positions):
+        levels.append(profile)
+        return _own_level(profile, n, positions)
+
     monkeypatch.setattr(convergence, "ma_measure", counting)
+    monkeypatch.setattr(convergence, "_own_level", own_level)
     seq = ProfileSequence("equal", max_const_profile(-1.0), lambda k: max_const_profile(-1.0))
     weak_convergence_test(seq, default_battery(0.0), 1, (1, 2, 4))
-    assert len(built) == 3
+    # the limit's own level gives the target, then one per member
+    assert levels[0] is seq.limit
+    assert len(levels) == 4 and len({id(p) for p in levels}) == 4
+    assert built == []
+
+
+# -- every pairing against the member's own measure -------------------------
+
+
+def reference_pairings(seq, phis, n, ks):
+    """Per phi, its target and ``ma_measure(member, n).integrate(phi)`` at
+    each index, read in the order the harness reads them."""
+    reference_check_decreasing(seq, ks)
+    np_m = nonpolar_part(seq.limit, n)
+    measures = [ma_measure(seq.member(k), n) for k in ks]
+    return [(np_m.integrate(phi), [mk.integrate(phi) for mk in measures]) for phi in phis]
+
+
+def harness_pairings(seq, phis, n, ks):
+    rep = weak_convergence_test(seq, phis, n, ks)
+    return [(s.metadata["target"], [v for _, v in s.entries]) for s in rep.conclusion_series]
+
+
+def table_sequences():
+    """Seeded random truncation, shift and clip sequences, two of each,
+    and truncations of the power-tail, log and max-const families, with
+    a clip of the log profile whose members hold knot atoms it lacks."""
+    found: dict[str, list] = {}
+    for seed in range(100):
+        seq = random_sequence(seed, 0.0)
+        found.setdefault(seq.label, [])
+        if len(found[seq.label]) < 2:
+            found[seq.label].append(seq)
+    assert sorted(found) == ["random-clip", "random-shift", "random-truncation"]
+    limits = [power_tail_profile(0.5), power_tail_profile(0.25), log_profile(), max_const_profile(-1.0)]
+    return (
+        [seq for seqs in found.values() for seq in seqs]
+        + [truncation_sequence(p) for p in limits]
+        + [clipped_sequence(log_profile(), 2.0, 0.5, 0.25)]
+    )
+
+
+def short_batteries(seq, n, ks):
+    """Batteries on balls ending left of the rightmost and second
+    rightmost atom that any member's measure holds, each with a plateau
+    that is 1 at the origin."""
+    positions = {t for k in ks for t, _ in ma_measure(seq.member(k), n).atoms}
+    out = []
+    for t in sorted(positions)[-2:]:
+        log_R = t - 2.0**-10
+        out.append(default_battery(log_R) + (plateau(log_R - 3.0, log_R - 0.5, log_R),))
+    return out
+
+
+@pytest.mark.parametrize("ks", [DEFAULT_SCHEDULE, geometric_schedule(2**20), (3, 5, 9)],
+                         ids=["to1024", "to2^20", "3-5-9"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_pairing_is_the_member_measures_integral_bit_for_bit(n, ks):
+    origin_plateaus = (plateau(-3.0, -0.5), plateau(-40.0, -2.0 ** -12))
+    for seq in table_sequences():
+        batteries = [default_battery(0.0), default_battery(0.0) + origin_plateaus]
+        for phis in batteries + short_batteries(seq, n, ks):
+            got = outcome(harness_pairings, seq, phis, n, ks)
+            assert got == outcome(reference_pairings, seq, phis, n, ks), (seq.label, phis[0].log_R)
+
+
+@pytest.mark.parametrize(
+    "seq, log_R, message",
+    [
+        # the log profile has no knot atom: member 1 releases at t = -1
+        (truncation_sequence(log_profile()), -1.5, "t=-1.0 > log_R=-1.5"),
+        # member 1 holds a knot atom at -0.5, which the limit lacks
+        (clipped_sequence(log_profile(), 2.0, 0.5, 0.25), -0.75, "t=-0.5 > log_R=-0.75"),
+        # the limit's own atom raises first, in its target
+        (truncation_sequence(power_tail_profile(0.5)), -0.5, "t=-0.35355339059327373 > log_R=-0.5"),
+    ],
+    ids=["release", "member-knot", "limit-knot"],
+)
+def test_a_ball_ending_left_of_a_member_atom_raises_the_member_pairings_error(seq, log_R, message):
+    phis = default_battery(log_R)
+    assert outcome(reference_pairings, seq, phis, 2, DEFAULT_SCHEDULE) == (
+        "raised", "OutOfDomain", message,
+    )
+    with pytest.raises(OutOfDomain) as e:
+        weak_convergence_test(seq, phis, 2)
+    assert str(e.value) == message

@@ -336,3 +336,42 @@ def test_pickling_or_copying_drops_the_evaluators(p):
         assert [bits(q.value(t)) for t in pts] == before
         assert q._formula is not p._formula
         assert q.truncate(1.0)._formula is q._formula
+
+
+# -- the test function's evaluator ------------------------------------------
+
+
+def signed_zero_test_function():
+    """Origin value -0.0, which the evaluator must return as it is."""
+    return RadialTestFunction(-0.0, ((-2.0, -0.0), (-1.0, 0.5), (-0.5, 0.0)), 0.0, "signed")
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [default_battery()[0], punctured_battery(-0.5)[3], default_battery(1.0)[9],
+     signed_zero_test_function()],
+    ids=lambda phi: f"{phi.label}/{phi.log_R:g}",
+)
+def test_evaluated_test_function_pickles_and_copies(phi):
+    phi = RadialTestFunction(phi.origin_value, phi.nodes, phi.log_R, phi.label)  # unevaluated
+    key = hash(phi)
+    fresh = RadialTestFunction(phi.origin_value, phi.nodes, phi.log_R, phi.label)
+    pts = probe_points(phi._ts, phi.log_R) + [phi.log_R]
+    before = [bits(phi.value(t)) for t in pts]
+    assert before == [bits(reference_phi(phi, t)) for t in pts]
+    # evaluating leaves == and hash as they were
+    assert "value" in vars(phi)
+    assert phi == fresh and hash(phi) == key == hash(fresh)
+    bad = math.nextafter(phi.log_R, math.inf)
+    for q in (pickle.loads(pickle.dumps(phi)), copy.copy(phi), copy.deepcopy(phi)):
+        assert "value" not in vars(q)
+        assert q == phi and hash(q) == key
+        assert [bits(q.value(t)) for t in pts] == before
+        assert q.value is not phi.value
+        with pytest.raises(OutOfDomain) as e:
+            q.value(math.nan)
+        assert str(e.value) == "t is NaN"
+        for t in (bad, math.inf):
+            with pytest.raises(OutOfDomain) as e:
+                q.value(t)
+            assert str(e.value) == f"t={t} > log_R={phi.log_R}"
