@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .errors import MassOverflow
 from .measures import RadialMeasure, _check_dimension, _mass, ma_measure
-from .profiles import ConvexProfile, FiniteValue, RadialCompact, _check_level, _interval_compact
+from .profiles import ConvexProfile, FiniteValue, RadialCompact, _check_level, _check_schedule
+from .profiles import _interval_compact
 from .series import DEFAULT_SCHEDULE, DiagnosticSeries, build_series
 
 
@@ -82,9 +83,9 @@ def _condition_series(
     or ``level_set``: it gives the set's one interval, or None when the
     set is empty.  Only the set's sup decides its capacity, so each
     entry is ``j**n * _mass(n, 1.0 / (log_R - sup))``, the float
-    ``capacity`` returns, with no compact built.  Each j is checked
-    before its set is read: a j that is not positive, NaN included,
-    raises the truncation ladder's ValueError, as ``truncation_analysis``
+    ``capacity`` returns, with no compact built.  An empty schedule, or
+    a j that is not positive (NaN included), raises the truncation
+    ladder's ValueError before a set is read, as ``truncation_analysis``
     does over the same schedule.  At j = inf a profile unbounded below
     leaves only the origin, which raises the ValueError ``sublevel`` and
     ``level_set`` raise at -inf; a profile cannot carry a NaN log_R.
@@ -93,7 +94,7 @@ def _condition_series(
     log_R = profile.log_R
     entries = []
     touched = 0
-    for j in schedule:
+    for j in schedule or _check_schedule(schedule):  # empty: raises
         # the same test _check_level makes, here only to save it a call
         # per level on the normal path
         if not j > 0.0:

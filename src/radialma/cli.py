@@ -779,8 +779,7 @@ def main(argv=None) -> int:
     except ScenarioFailure as e:
         print(f"FAIL {scenario}: {e}", file=sys.stderr)
         for s in e.series:
-            if s is not None:
-                print(s.to_csv(), file=sys.stderr)
+            print(s.to_csv(), file=sys.stderr)
         return 2
     except (UsageError, GridTooLarge, GridTooCoarse, NonStabilized) as e:
         # an oracle grid too large or too coarse is a bad --h, and a clamp

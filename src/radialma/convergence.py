@@ -137,35 +137,17 @@ def random_decreasing_sequence(rng, log_R: float = 0.0) -> ProfileSequence:
     )
 
 
-def _member_walk(seq: ProfileSequence, ks: Sequence[int], check=None):
-    """(members, at): the distinct members along ks, and per index of ks
-    the pair (k, position of its member in ``members``).
+def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
+    """(members, at): the distinct members along ks, each spot-checked
+    as ``check_decreasing`` documents, and per index of ks the pair
+    (k, position of its member in ``members``).
 
     ``seq.member(k)`` is called once per index, in order.  Consecutive
-    indices whose member is the same object share one position: a
-    truncation at or below the limit's infimum (or its own clamp), or a
-    line that never rises above the limit, returns the limit itself, so
-    its values, measure and pairings repeat.  Reuse goes by identity,
-    never equality, since equal profiles can differ in the sign of a
-    zero.  ``check(k, member)``, if given, runs on each distinct member
-    as soon as it is met.
-    """
-    members: list[ConvexProfile] = []
-    at: list[tuple[int, int]] = []
-    for k in ks:
-        prof = seq.member(k)
-        if not (members and members[-1] is prof):
-            if check is not None:
-                check(k, prof)
-            members.append(prof)
-        at.append((k, len(members) - 1))
-    return members, at
-
-
-def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
-    """``_member_walk`` with each distinct member spot-checked as
-    ``check_decreasing`` documents; a repeated member's values and
-    comparisons repeat, so it is checked once.  The limit is evaluated
+    indices whose member is the same object (a truncation at or below
+    the limit's infimum or its own clamp, or a line that never rises
+    above the limit, returns the limit itself) share one position and
+    one check.  Reuse goes by identity, never equality, since equal
+    profiles can differ in the sign of a zero.  The limit is evaluated
     once per point; a clamped copy of an unclamped limit shares its
     formula, so its values are ``floor if floor > x else x`` over those."""
     limit = seq.limit
@@ -176,7 +158,6 @@ def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
     ts += [a + i * step for i in range(32)] + [b]
     formula = limit.value  # the formula itself when the limit is unclamped
     xs = [formula(t) for t in ts]
-    prev: list[float] | None = None
     # per point, once: the slack, and the bound a member must not dip
     # below (-inf where the limit is not finite, so no value dips)
     slacks, lows = [], []
@@ -185,26 +166,28 @@ def _checked_walk(seq: ProfileSequence, ks: Sequence[int]):
         slack = 1e-9 * (1.0 + (abs(lv) if finite else 0.0))
         slacks.append(slack)
         lows.append(lv - slack if finite else NEG_INF)
-
-    def check(k: int, prof: ConvexProfile) -> None:
-        nonlocal prev
-        if prof._formula is not formula:
-            vals = [prof.value(t) for t in ts]
-        else:
-            floor = prof.floor
-            vals = xs if floor == NEG_INF else [floor if floor > x else x for x in xs]
-        for i, (t, v) in enumerate(zip(ts, vals)):
-            if v < lows[i]:
-                raise NonMonotoneSequence(
-                    f"{seq.label}: member {k} dips below the limit at t={t}"
-                )
-            if prev is not None and math.isfinite(prev[i]) and v > prev[i] + slacks[i]:
-                raise NonMonotoneSequence(
-                    f"{seq.label}: member {k} rises above the previous one at t={t}"
-                )
-        prev = vals
-
-    return _member_walk(seq, ks, check)
+    members, at, prev = [], [], None
+    for k in ks:
+        prof = seq.member(k)
+        if not (members and members[-1] is prof):
+            if prof._formula is not formula:
+                vals = [prof.value(t) for t in ts]
+            else:
+                floor = prof.floor
+                vals = xs if floor == NEG_INF else [floor if floor > x else x for x in xs]
+            for i, (t, v) in enumerate(zip(ts, vals)):
+                if v < lows[i]:
+                    raise NonMonotoneSequence(
+                        f"{seq.label}: member {k} dips below the limit at t={t}"
+                    )
+                if prev is not None and math.isfinite(prev[i]) and v > prev[i] + slacks[i]:
+                    raise NonMonotoneSequence(
+                        f"{seq.label}: member {k} rises above the previous one at t={t}"
+                    )
+            prev = vals
+            members.append(prof)
+        at.append((k, len(members) - 1))
+    return members, at
 
 
 def check_decreasing(seq: ProfileSequence, ks: Sequence[int]) -> None:
@@ -486,7 +469,7 @@ def setwise_gap(
     )
 
 
-def _level_sums(levels, o, phi, a, b, terms, first=0):
+def _level_sums(levels, o, phi, a, b, terms, first):
     """Per level of ``_truncation_ladder``, or a measure's ``_own_level``
     led by a label j, (j, fsum of its measure's terms against a test
     function).
@@ -535,10 +518,11 @@ def maximality_check(
     atoms inside (a, b), found by bisection, and at the release atoms
     inside it; each entry is the fsum ``RadialMeasure.integrate`` takes
     over the same nonzero terms, hence the same float, summed by
-    ``_level_sums`` as ``cegrell_f_diagnostic`` sums its masses.  The
+    ``_level_sums`` as ``weak_convergence_test`` sums its pairings.  The
     all-zero series of a phi that meets no atom is built once per call;
     each such phi gets a new series over its entries, flag and metadata,
-    relabelled with the phi's label.
+    relabelled with the phi's label; an unlabelled phi is flagged
+    ``phi<i>`` as ``weak_convergence_test`` flags it.
     """
     if phis is None:
         phis = punctured_battery(profile.log_R)
@@ -586,7 +570,7 @@ def maximality_check(
                 "j", entries, target=0.0, extra_metadata={"phi": phi.label}
             )
         conclusion.append(s)
-        flags[phi.label] = s.flag
+        flags[phi.label or f"phi{len(flags)}"] = s.flag
     all_zero = all(s.flag == CONVERGING_TO_ZERO for s in conclusion)
     maximal = np_zero and all_zero
     return HarnessReport(
@@ -650,7 +634,8 @@ def cegrell_f_diagnostic(
     piecewise-linear radial profile their total mass is (2*pi*s)^n with
     s the final slope, so the series is constant and the supremum is
     finite whenever the profile is admissible.  Each level's total
-    mass is ``_level_sums`` with unit weights over the atom masses.
+    mass is the fsum of its ``_truncation_ladder`` masses, the multiset
+    ``ma_measure(profile.truncate(j), n).total_mass`` sums: the same float.
     """
     from .errors import NotAdmissible
 
@@ -661,8 +646,10 @@ def cegrell_f_diagnostic(
             f"boundary limit {bl} is not 0; not a candidate for class F"
         )
     masses = [m for _, m in _knot_atoms(profile, n)[1]]
-    levels = _truncation_ladder(profile, n, schedule)
-    entries = _level_sums(levels, 1.0, lambda t: 1.0, NEG_INF, math.inf, masses)
+    entries = [
+        (j, math.fsum([origin, *(release or ())[1:], *masses[start:]]))
+        for j, _, origin, release, start in _truncation_ladder(profile, n, schedule)
+    ]
     s = build_series("j", entries, extra_metadata={"series": "total_mass"})
     sup_mass = max(v for _, v in entries)
     return HarnessReport(
@@ -680,10 +667,11 @@ def generalized_condition(seq: ProfileSequence, n: int) -> DiagnosticSeries:
     on {u_k <= -j}, with j and k both over ``DEFAULT_SCHEDULE``.
 
     The sequence-level strengthening of the capacity condition; a zero
-    flag supports convergence for the whole sequence at once.
+    flag supports convergence for the whole sequence at once.  Its
+    members come from ``_checked_walk``, so a sequence that does not
+    decrease to its limit raises NonMonotoneSequence.
     """
-    profs, _ = _member_walk(seq, DEFAULT_SCHEDULE)
-    members = [(p, ma_measure(p, n)) for p in profs]
+    members = [(p, ma_measure(p, n)) for p in _checked_walk(seq, DEFAULT_SCHEDULE)[0]]
     entries = []
     for j in DEFAULT_SCHEDULE:
         sup = 0.0

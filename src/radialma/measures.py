@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MassOverflow, NonStabilized, OutOfDomain
-from .profiles import ConvexProfile, RadialCompact, NEG_INF, _check_level
+from .profiles import ConvexProfile, RadialCompact, NEG_INF, _check_level, _check_schedule
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,14 +233,14 @@ def _truncation_ladder(profile: ConvexProfile, n: int, schedule: Sequence):
     atom is, and it keeps every knot atom (start 0).  The branch reads
     the computed edge, so a crossing that rounds onto the first knot
     takes the general path.  A level that is not positive raises
-    truncate's ValueError.
+    truncate's ValueError, and an empty schedule a ValueError of its own.
     """
     _check_dimension(n)
     positions, _ = _knot_atoms(profile, n)
     infimum = profile.left_value
     t0 = profile._ts[0]
     own = tail = None
-    for j in schedule:
+    for j in schedule or _check_schedule(schedule):  # empty: raises
         level = float(j)
         _check_level(level)
         c = -level
@@ -277,10 +277,8 @@ def nonpolar_part(profile: ConvexProfile, n: int, depth: int = NP_DEPTH) -> Radi
     """
     atoms = ma_measure(profile, n).atoms
     _check_level(depth)
-    if -depth > profile.left_value:
+    if -depth > profile.left_value or profile.floor == -depth:
         edge = profile._formula_sublevel_edge(-depth)
-    elif profile.floor == -depth:
-        edge = profile._floor_edge
     else:
         edge = NEG_INF  # truncate(J) leaves the profile unclamped at -J
     # (t, m) <= (edge, inf) exactly when t <= edge, since every m is finite

@@ -229,7 +229,6 @@ def _psor_solve(
             break
     else:
         raise NotConverged(max_sweeps, delta)
-    np.minimum(v, ob, out=v)
     return np.minimum.accumulate(v[::-1])[::-1]  # kill downward dust
 
 

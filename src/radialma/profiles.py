@@ -59,6 +59,11 @@ def _check_level(j: float) -> None:
         raise ValueError(f"truncation level j must be positive, got {j}")
 
 
+def _check_schedule(schedule) -> None:
+    if len(schedule) == 0:
+        raise ValueError("a schedule needs at least one truncation level j")
+
+
 def _check_set_level(s: float) -> None:
     if math.isnan(s):
         raise ValueError(f"level s must not be NaN, got {s}")

@@ -15,10 +15,13 @@ from radialma import (
     cegrell_f_diagnostic,
     check_decreasing,
     closed_ball,
+    condition_level,
+    condition_sublevel,
     counterexample_sequence,
     default_battery,
     generalized_condition,
     geometric_schedule,
+    hat,
     log_profile,
     ma_domain_membership,
     ma_measure,
@@ -198,6 +201,27 @@ def test_maximality_rejects_levels_that_are_not_positive(schedule, got):
         truncation_analysis(log_profile(), closed_ball(-1.0), 1, schedule=schedule)
 
 
+@pytest.mark.parametrize(
+    "harness",
+    [
+        lambda s: truncation_analysis(log_profile(), closed_ball(-1.0), 1, s),
+        lambda s: maximality_check(log_profile(), 1, schedule=s),
+        lambda s: cegrell_f_diagnostic(max_const_profile(-1.0), 2, s),
+        lambda s: ma_domain_membership(log_profile(), 1, s),
+        lambda s: condition_sublevel(log_profile(), 1, s),
+        lambda s: condition_level(log_profile(), 1, s),
+    ],
+    ids=["truncation", "maximality", "cegrell", "membership", "sublevel", "level"],
+)
+@pytest.mark.parametrize("schedule", [(), []], ids=["tuple", "list"])
+def test_an_empty_schedule_raises_before_any_verdict(harness, schedule):
+    # verdicts were drawn from no level at all, and cegrell's sup of no
+    # masses raised a stray "max() arg is an empty sequence"
+    msg = "^a schedule needs at least one truncation level j$"
+    with pytest.raises(ValueError, match=msg):
+        harness(schedule)
+
+
 @pytest.mark.parametrize("schedule", [(2, 1), (1, 1), (1, 4, 2)])
 def test_a_schedule_that_does_not_increase_raises_the_series_error(schedule):
     # at j = 1 the clamp covers the kink at -1 that is interior at j = 2,
@@ -208,6 +232,17 @@ def test_a_schedule_that_does_not_increase_raises_the_series_error(schedule):
         truncation_analysis(p, closed_ball(0.0), 1, schedule=schedule)
     with pytest.raises(ValueError, match=msg):
         maximality_check(p, 1, schedule=schedule)
+
+
+def test_maximality_names_unlabelled_test_functions_as_weak_convergence_does():
+    # two unlabelled phis shared the one flag ''
+    phis = (hat(-2, -1.5, -1), hat(-1, -0.75, -0.5))
+    p = power_tail_profile(0.5)
+    rep = maximality_check(p, 2, phis=phis)
+    assert rep.flags == {"phi0": "converging-to-positive", "phi1": "converging-to-positive"}
+    assert [rep.flags[f"phi{i}"] for i in range(2)] == [s.flag for s in rep.conclusion_series]
+    weak = weak_convergence_test(truncation_sequence(p), phis, 2)
+    assert list(weak.flags) == list(rep.flags)
 
 
 def test_maximality_series_vanish_for_log():
@@ -316,6 +351,21 @@ def test_generalized_condition_forces_weak_convergence():
     assert generalized_condition(seq, 2).flag == CONVERGING_TO_ZERO
     rep = weak_convergence_test(seq, default_battery(1.0), 2)
     assert all(s.flag == CONVERGING_TO_ZERO for s in rep.conclusion_series)
+
+
+def test_generalized_condition_raises_on_a_sequence_that_does_not_decrease():
+    # it took its members unchecked and judged a rising sequence
+    # converging-to-zero
+    u = log_profile()
+    rising = ProfileSequence("rising", u, lambda k: u.truncate(1.0 / k))
+    with pytest.raises(NonMonotoneSequence) as e:
+        generalized_condition(rising, 2)
+    assert str(e.value) == "rising: member 2 rises above the previous one at t=-inf"
+    below = u.shift(-1.0)
+    dipping = ProfileSequence("dip", u, lambda k: below)
+    with pytest.raises(NonMonotoneSequence) as e:
+        generalized_condition(dipping, 2)
+    assert str(e.value) == "dip: member 1 dips below the limit at t=-1.0"
 
 
 def test_check_decreasing_accepts_real_sequences():

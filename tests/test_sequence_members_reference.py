@@ -147,6 +147,7 @@ def reference_setwise_gap(seq, K, n, ks):
 
 
 def reference_generalized_condition(seq, n):
+    reference_check_decreasing(seq, DEFAULT_SCHEDULE)
     members = [(p, ma_measure(p, n)) for p in (seq.member(k) for k in DEFAULT_SCHEDULE)]
     entries = []
     for j in DEFAULT_SCHEDULE:
